@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Measures serial-vs-parallel fleet dataset generation wall-clock and
-# cross-checks byte-identity between thread counts.  Regenerates the
+# Measures serial-vs-parallel fleet dataset generation — wall-clock, user
+# and sys CPU, and minor page faults — and cross-checks byte-identity
+# between thread counts.  Regenerates the
 # numbers behind the speedup table in docs/PERFORMANCE.md:
 #
 #   scripts/bench_fleet_scaling.sh                    # 96 + 1000 racks
@@ -9,8 +10,10 @@
 # Each (racks, threads) cell is one full two-region measurement day
 # (24 hours x 700 samples by default) through `msampctl fleet`.
 #
-# Besides the CSV on stdout, each run overwrites BENCH_fleet_scaling.json
-# with the same rows plus the host's core count, the SIMD path the run's
+# CPU and faults come from getrusage(RUSAGE_CHILDREN) in a small python3
+# wrapper (time(1) is not installed everywhere).  Besides the CSV on
+# stdout, each run overwrites BENCH_fleet_scaling.json with the same rows
+# plus the host's core count, the SIMD path the run's
 # kernels routed to (`msampctl version`'s simd-active), and the pool's lock
 # contention rate at each thread count (from bench_pool_contention, null
 # when that binary isn't built).  The committed file's git history is the
@@ -52,21 +55,31 @@ contention_rate() {
       "$contention_csv"
 }
 
+# Runs a command with its stdout discarded and prints
+# "<wall s> <user s> <sys s> <minor faults>" for it.
+measure() {
+  python3 - "$@" <<'PY'
+import resource, subprocess, sys, time
+t0 = time.monotonic()
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+wall = time.monotonic() - t0
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(f"{wall:.3f} {ru.ru_utime:.3f} {ru.ru_stime:.3f} {ru.ru_minflt}")
+PY
+}
+
 rows=""
-echo "racks_per_region,threads,seconds"
+echo "racks_per_region,threads,seconds,user_s,sys_s,minor_faults"
 for r in $RACKS; do
   ref=""
   for t in $THREADS; do
     ds="$out/ds_${r}_${t}.bin"
-    start=$(date +%s.%N)
-    "$BIN" fleet --racks "$r" --hours "$HOURS" --samples "$SAMPLES" \
-        --threads "$t" --out "$ds" > /dev/null
-    end=$(date +%s.%N)
-    secs=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.1f", b - a }')
-    echo "$r,$t,$secs"
+    read -r secs user sys faults < <(measure "$BIN" fleet --racks "$r" \
+        --hours "$HOURS" --samples "$SAMPLES" --threads "$t" --out "$ds")
+    echo "$r,$t,$secs,$user,$sys,$faults"
     rate=$(contention_rate "$t")
-    row=$(printf '{"racks_per_region": %s, "threads": %s, "seconds": %s, "lock_contention_rate": %s}' \
-                 "$r" "$t" "$secs" "$rate")
+    row=$(printf '{"racks_per_region": %s, "threads": %s, "seconds": %s, "user_s": %s, "sys_s": %s, "minor_faults": %s, "lock_contention_rate": %s}' \
+                 "$r" "$t" "$secs" "$user" "$sys" "$faults" "$rate")
     rows="${rows:+$rows,$'\n'    }$row"
     # Determinism contract: every thread count must produce the same bytes.
     if [ -z "$ref" ]; then

@@ -37,7 +37,7 @@ if [ "${MSAMP_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B build-tsan "${GEN[@]}" -DMSAMP_TSAN=ON
   cmake --build build-tsan --target msamp_tests msamp_lint
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(ThreadPool|SpscRing|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd)'
+    -R '^(ThreadPool|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd)'
   # Cross-check: the scalar SIMD path must pass the same suites (the vector
   # kernels' scalar twins are what every other host falls back to).
   MSAMP_SIMD=scalar ctest --test-dir build-tsan --output-on-failure \
@@ -53,7 +53,7 @@ if [ "${MSAMP_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan "${GEN[@]}" -DMSAMP_ASAN=ON
   cmake --build build-asan --target msamp_tests msampctl msamp_lint
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|SpscRing|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd)'
+    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd)'
   # Cross-check: the unaligned-load/store forms in every vector kernel run
   # under ASan via the Simd suites above; the scalar path gets the same run.
   MSAMP_SIMD=scalar ctest --test-dir build-asan --output-on-failure \

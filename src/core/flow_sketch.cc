@@ -1,7 +1,7 @@
 #include "core/flow_sketch.h"
 
-#include <bit>
 #include <cmath>
+#include <cstddef>
 
 namespace msamp::core {
 namespace {
@@ -24,18 +24,20 @@ void FlowSketch::add(std::uint64_t flow_id) noexcept {
   words_[bit >> 6] |= 1ULL << (bit & 63u);
 }
 
-int FlowSketch::popcount() const noexcept {
-  return std::popcount(words_[0]) + std::popcount(words_[1]);
-}
-
-double FlowSketch::estimate() const noexcept {
-  const int zeros = kBits - popcount();
-  if (zeros == 0) {
-    // Fully saturated: report the maximum resolvable estimate.
-    return -static_cast<double>(kBits) * std::log(1.0 / kBits);
+std::array<double, FlowSketch::kBits + 1>
+FlowSketch::build_estimate_table() noexcept {
+  std::array<double, kBits + 1> table{};
+  // Fully saturated: report the maximum resolvable estimate.
+  table[0] = -static_cast<double>(kBits) * std::log(1.0 / kBits);
+  for (int zeros = 1; zeros <= kBits; ++zeros) {
+    // libm evaluates the log at run time, exactly as the per-call estimate
+    // did; the volatile read keeps the compiler from constant-folding it
+    // with its own (possibly differently rounded) arithmetic.
+    const volatile double fraction = static_cast<double>(zeros) / kBits;
+    table[static_cast<std::size_t>(zeros)] =
+        -static_cast<double>(kBits) * std::log(fraction);
   }
-  return -static_cast<double>(kBits) *
-         std::log(static_cast<double>(zeros) / kBits);
+  return table;
 }
 
 }  // namespace msamp::core

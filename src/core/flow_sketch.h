@@ -3,6 +3,7 @@
 // up to about a dozen concurrent connections, saturating around 500.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace msamp::core {
@@ -26,10 +27,26 @@ class FlowSketch {
   /// Linear-counting estimate of the number of distinct flows added:
   /// n ≈ -m * ln(zero_bits / m).  When every bit is set the estimate
   /// saturates at -m*ln(1/m) ≈ 621 (the paper's "around 500" regime).
-  double estimate() const noexcept;
+  /// The estimate depends only on the zero count, so it is a lookup in
+  /// `estimate_table()`.
+  double estimate() const noexcept {
+    return estimate_table()[kBits - popcount()];
+  }
 
   /// Number of set bits.
-  int popcount() const noexcept;
+  int popcount() const noexcept {
+    return popcount64(words_[0]) + popcount64(words_[1]);
+  }
+
+  /// The estimate for every zero count: entry z is the closed form above
+  /// evaluated with z zero bits (kBits + 1 entries; entry kBits is the
+  /// empty sketch's -0.0).  Built once, on first use, by evaluating that
+  /// libm expression, so a lookup is bit-identical to computing it
+  /// (tests/test_flow_sketch.cc checks every entry).
+  static const double* estimate_table() noexcept {
+    static const std::array<double, kBits + 1> table = build_estimate_table();
+    return table.data();
+  }
 
   bool empty() const noexcept { return words_[0] == 0 && words_[1] == 0; }
   void clear() noexcept { words_[0] = words_[1] = 0; }
@@ -42,6 +59,17 @@ class FlowSketch {
   }
 
  private:
+  static std::array<double, kBits + 1> build_estimate_table() noexcept;
+
+  /// Branch-free bit count.  std::popcount compiles to a libgcc call on
+  /// targets built without the popcnt instruction; this stays inline.
+  static constexpr int popcount64(std::uint64_t x) noexcept {
+    x = x - ((x >> 1) & 0x5555555555555555ULL);
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+  }
+
   std::uint64_t words_[2] = {0, 0};
 };
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/run_record.h"
@@ -19,8 +20,25 @@ namespace msamp::core {
 std::vector<BucketSample> align_series(const RunRecord& record,
                                        sim::SimTime grid_start, std::size_t n);
 
+/// `align_series` into a caller-owned buffer: `out` is resized to `n` and
+/// every element overwritten, so a reused buffer never reallocates.
+void align_series(const RunRecord& record, sim::SimTime grid_start,
+                  std::size_t n, std::vector<BucketSample>& out);
+
 /// Linear blend of two samples (t in [0,1]); exposed for tests.
 BucketSample lerp_sample(const BucketSample& a, const BucketSample& b,
                          double t);
+
+/// std::llround without the libm call, for |x| < 2^63: the integer part
+/// is exact, and so is `x - trunc(x)` (both share x's sign and exponent
+/// range), so comparing that remainder with +-0.5 rounds halves away from
+/// zero exactly as llround does.
+inline std::int64_t round_half_away(double x) noexcept {
+  const auto i = static_cast<std::int64_t>(x);  // truncates toward zero
+  const double frac = x - static_cast<double>(i);
+  // Branch-free: the remainder's side of +-0.5 is data-dependent noise.
+  return i + static_cast<std::int64_t>(frac >= 0.5) -
+         static_cast<std::int64_t>(frac <= -0.5);
+}
 
 }  // namespace msamp::core

@@ -39,6 +39,11 @@ struct SyncRun {
 /// combination step.
 SyncRun combine_runs(const std::vector<RunRecord>& records);
 
+/// `combine_runs` into a caller-owned SyncRun: every field of `out` is
+/// overwritten, and its per-server series buffers are reused, so a SyncRun
+/// kept across windows aligns without reallocating.
+void combine_runs(const std::vector<RunRecord>& records, SyncRun& out);
+
 /// The control plane.  Owns no samplers; it coordinates the ones passed in.
 class SyncController {
  public:

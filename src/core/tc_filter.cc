@@ -29,6 +29,17 @@ TcFilter::TcFilter(const TcFilterConfig& config)
   assert(config.num_buckets > 0);
 }
 
+void TcFilter::reset(const TcFilterConfig& config) {
+  assert(config.num_cpus > 0);
+  assert(config.num_buckets > 0);
+  config_ = config;
+  percpu_.resize(static_cast<std::size_t>(config.num_cpus) *
+                 static_cast<std::size_t>(config.num_buckets));
+  enabled_ = false;
+  start_ = -1;
+  interval_ = sim::kMillisecond;
+}
+
 void TcFilter::enable(sim::SimDuration interval) {
   assert(interval > 0);
   for (auto& row : percpu_) row.clear();
@@ -76,51 +87,38 @@ bool TcFilter::process(int cpu, const net::Packet& segment, bool ingress,
   return true;
 }
 
-bool TcFilter::process_batch(int cpu, const SegmentBatch& batch,
-                             sim::SimTime now) {
-  if (!enabled_) return false;
-  if (start_ < 0) start_ = now;
-  const sim::SimTime elapsed = now - start_;
-  const auto bucket = elapsed / interval_;
-  if (bucket < 0) return false;
-  if (bucket >= config_.num_buckets) {
-    enabled_ = false;
-    return false;
-  }
-  RawBucket& row = percpu_[static_cast<std::size_t>(cpu % config_.num_cpus) *
-                               static_cast<std::size_t>(config_.num_buckets) +
-                           static_cast<std::size_t>(bucket)];
-  row.in_bytes += static_cast<std::uint64_t>(batch.in_bytes);
-  row.in_retx_bytes += static_cast<std::uint64_t>(batch.in_retx_bytes);
-  row.in_ecn_bytes += static_cast<std::uint64_t>(batch.in_ecn_bytes);
-  row.out_bytes += static_cast<std::uint64_t>(batch.out_bytes);
-  row.out_retx_bytes += static_cast<std::uint64_t>(batch.out_retx_bytes);
-  if (config_.count_flows) {
-    row.sketch[0] |= batch.sketch[0];
-    row.sketch[1] |= batch.sketch[1];
-  }
-  return true;
+std::vector<BucketSample> TcFilter::read_aggregated() const {
+  std::vector<BucketSample> out;
+  std::vector<std::uint64_t> tally;
+  read_aggregated(out, tally);
+  return out;
 }
 
-std::vector<BucketSample> TcFilter::read_aggregated() const {
+void TcFilter::read_aggregated(std::vector<BucketSample>& out,
+                               std::vector<std::uint64_t>& tally) const {
   const auto buckets = static_cast<std::size_t>(config_.num_buckets);
   const std::size_t row_words = buckets * util::simd::kRowWords;
   // Fold every CPU's bucket array into one accumulator in a single strided
   // pass per CPU: counter words saturating-add, sketch words OR. Counter
   // sums never approach 2^63 (a full day of line-rate bytes is < 2^50), so
   // the saturating u64 fold and the previous int64 += produce identical
-  // bytes; the sketch OR is associative.
-  std::vector<std::uint64_t> acc(row_words, 0);
+  // bytes; the sketch OR is associative.  A single CPU's row array already
+  // is that fold (x + 0 == x, x | 0 == x), so it is read in place.
   const auto* words = reinterpret_cast<const std::uint64_t*>(percpu_.data());
-  for (int c = 0; c < config_.num_cpus; ++c) {
-    util::simd::tally_rows_u64(
-        acc.data(), words + static_cast<std::size_t>(c) * row_words,
-        row_words);
+  const std::uint64_t* folded = words;
+  if (config_.num_cpus > 1) {
+    tally.assign(row_words, 0);
+    for (int c = 0; c < config_.num_cpus; ++c) {
+      util::simd::tally_rows_u64(
+          tally.data(), words + static_cast<std::size_t>(c) * row_words,
+          row_words);
+    }
+    folded = tally.data();
   }
-  std::vector<BucketSample> out(buckets);
+  out.resize(buckets);
   for (std::size_t b = 0; b < buckets; ++b) {
     BucketSample& s = out[b];
-    const std::uint64_t* row = acc.data() + b * util::simd::kRowWords;
+    const std::uint64_t* row = folded + b * util::simd::kRowWords;
     s.in_bytes = static_cast<std::int64_t>(row[0]);
     s.in_retx_bytes = static_cast<std::int64_t>(row[1]);
     s.out_bytes = static_cast<std::int64_t>(row[2]);
@@ -130,7 +128,6 @@ std::vector<BucketSample> TcFilter::read_aggregated() const {
     sketch.set_words(row[5], row[6]);
     s.connections = sketch.empty() ? 0.0 : sketch.estimate();
   }
-  return out;
 }
 
 const RawBucket& TcFilter::raw(int cpu, int bucket) const {

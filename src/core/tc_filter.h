@@ -71,12 +71,48 @@ class TcFilter {
                sim::SimTime now);
 
   /// Batched variant of `process`: folds a whole bucket's worth of traffic
-  /// in at once.  Identical start-latch / auto-stop semantics.
-  bool process_batch(int cpu, const SegmentBatch& batch, sim::SimTime now);
+  /// in at once.  Identical start-latch / auto-stop semantics.  Defined
+  /// inline: the fluid simulator calls it once per server per millisecond.
+  bool process_batch(int cpu, const SegmentBatch& batch, sim::SimTime now) {
+    if (!enabled_) return false;
+    if (start_ < 0) start_ = now;
+    const sim::SimTime elapsed = now - start_;
+    const auto bucket = elapsed / interval_;
+    if (bucket < 0) return false;
+    if (bucket >= config_.num_buckets) {
+      enabled_ = false;
+      return false;
+    }
+    RawBucket& row = percpu_[static_cast<std::size_t>(cpu % config_.num_cpus) *
+                                 static_cast<std::size_t>(config_.num_buckets) +
+                             static_cast<std::size_t>(bucket)];
+    row.in_bytes += static_cast<std::uint64_t>(batch.in_bytes);
+    row.in_retx_bytes += static_cast<std::uint64_t>(batch.in_retx_bytes);
+    row.in_ecn_bytes += static_cast<std::uint64_t>(batch.in_ecn_bytes);
+    row.out_bytes += static_cast<std::uint64_t>(batch.out_bytes);
+    row.out_retx_bytes += static_cast<std::uint64_t>(batch.out_retx_bytes);
+    if (config_.count_flows) {
+      row.sketch[0] |= batch.sketch[0];
+      row.sketch[1] |= batch.sketch[1];
+    }
+    return true;
+  }
 
   /// User-space read: sums the per-CPU rows (and ORs the sketches) into
   /// aggregated samples. Valid whether or not the run completed.
   std::vector<BucketSample> read_aggregated() const;
+
+  /// `read_aggregated` into caller-owned buffers: `out` is resized to the
+  /// bucket count and overwritten; `tally` is the fold accumulator (used
+  /// only with more than one CPU).  Reusing both across runs keeps the
+  /// read allocation-free.
+  void read_aggregated(std::vector<BucketSample>& out,
+                       std::vector<std::uint64_t>& tally) const;
+
+  /// Reconfigures a disabled filter for `config`, keeping its row storage
+  /// so one object can serve run after run.  Rows keep the previous run's
+  /// counts until `enable` clears them, as it does for every run.
+  void reset(const TcFilterConfig& config);
 
   /// Direct access to a per-CPU row, for tests.
   const RawBucket& raw(int cpu, int bucket) const;

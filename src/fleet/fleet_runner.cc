@@ -1,12 +1,11 @@
 #include "fleet/fleet_runner.h"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <ranges>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "fleet/dataset_view.h"
 #include "fleet/fluid_rack.h"
 #include "fleet/spill_sink.h"
-#include "util/spsc_ring.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 #include "workload/diurnal.h"
@@ -59,14 +57,15 @@ ExemplarRun make_exemplar(const core::SyncRun& sync,
 /// any thread in any order.
 WindowRecords simulate_window(const FleetConfig& config,
                               const analysis::BurstDetectConfig& burst_cfg,
-                              const workload::RackMeta& rack, int hour) {
+                              const workload::RackMeta& rack, int hour,
+                              FluidWorkspace& workspace) {
   WindowRecords out;
   util::Rng rng(fnv_step(fnv_step(config.seed, static_cast<std::uint64_t>(
                                                    rack.rack_id) +
                                                    1000003),
                          static_cast<std::uint64_t>(hour) + 17));
   FluidRack fluid(rack, config, hour, rng);
-  FluidRackResult res = fluid.run();
+  const FluidRackResult& res = fluid.run(workspace);
   const core::SyncRun& sync = res.sync;
   if (sync.num_samples() == 0) return out;
   out.has_run = true;
@@ -231,110 +230,95 @@ void run_fleet(const FleetConfig& config, const ShardSpec& shard,
   const std::size_t shard_windows = end - begin;
 
   util::ThreadPool pool(config.threads);
-  const int lanes = pool.size();
-  std::mutex progress_mu;
-  std::size_t completed = 0;
-  auto note_progress = [&] {
-    if (!progress) return;
-    // Serialized and strictly increasing: each completion bumps the
-    // counter exactly once, and total/total is exactly 1.0.
-    std::lock_guard<std::mutex> lock(progress_mu);
-    ++completed;
-    progress(static_cast<double>(completed) /
-             static_cast<double>(shard_windows));
-  };
+  const auto lanes = static_cast<std::size_t>(pool.size());
+  // One workspace per lane: a lane runs one window at a time, so its
+  // window buffers are allocated once and reused for every window it runs.
+  std::vector<FluidWorkspace> workspaces(lanes);
 
-  if (lanes == 1) {
-    // Single lane: simulate and stream straight into the sink — no
-    // consumer thread, no rings, and trivially the canonical order.
-    for (std::size_t w = begin; w < end; ++w) {
-      const int hour = static_cast<int>(w / racks.size());
-      const workload::RackMeta& rack = racks[w % racks.size()];
-      sink.on_window(w, simulate_window(config, burst_cfg, rack, hour));
-      note_progress();
-    }
-    if (progress && shard_windows == 0) progress(1.0);
-    return;
-  }
+  // In-order commit.  Lanes claim windows from the pool's shared counter
+  // and simulate them out of order; a finished window parks in a bounded
+  // reorder window of `capacity` slots (slot = index % capacity).  The
+  // lane that parks the window at the cursor commits: it alone advances
+  // the cursor, handing that window and every ready window behind it to
+  // the sink in canonical order, until it finds the cursor's slot empty;
+  // the next lane to park the window at the cursor takes over.  So sink
+  // calls are serial and strictly canonical — the bytes cannot depend on
+  // which lane ran which window, or in what order.  The committer releases
+  // `mu` around each sink call, so a slow sink stalls only its own lane.
+  // A lane that claims a window a full reorder window ahead of the cursor
+  // waits on `slot_freed` until the cursor catches up, which bounds peak
+  // memory at `capacity` window records independent of shard (or day)
+  // size.  The window at the cursor never waits, so the run always makes
+  // progress.
+  const std::size_t capacity = std::max<std::size_t>(8 * lanes, 64);
+  std::mutex mu;  // guards everything below
+  std::vector<WindowRecords> slots(capacity);
+  std::vector<unsigned char> ready(capacity, 0);
+  std::condition_variable slot_freed;
+  std::size_t cursor = 0;     // shard-relative index of the sink's next window
+  std::size_t completed = 0;  // windows simulated so far (for progress)
+  // Set when a window, the progress callback or the sink throws: waiting
+  // lanes wake and leave, no later window reaches the sink, and
+  // parallel_for rethrows the first exception on the calling thread.
+  bool aborted = false;
 
-  // Windows are simulated in bounded chunks: each chunk fans out over the
-  // pool while a dedicated consumer thread merges completed windows into
-  // the sink in canonical order.  Peak memory is one chunk of window
-  // records, independent of shard (or day) size.
-  //
-  // Handoff: each lane owns one SPSC ring and pushes the *slot index* of
-  // every window it finishes; the ring's release/acquire edge publishes
-  // the slot's contents to the consumer, which marks indices ready and
-  // advances a cursor so the sink sees windows strictly in canonical
-  // order with no gaps — the bytes cannot depend on which lane ran which
-  // window, or in what order.  The rings replace the old mutexed
-  // collect-then-drain step on the caller thread.
-  const std::size_t chunk_windows =
-      std::max<std::size_t>(static_cast<std::size_t>(lanes) * 8, 64);
-  constexpr std::size_t kRingCapacity = 256;
-  std::vector<std::unique_ptr<util::SpscRing<std::size_t>>> rings;
-  rings.reserve(static_cast<std::size_t>(lanes));
-  for (int l = 0; l < lanes; ++l) {
-    rings.push_back(
-        std::make_unique<util::SpscRing<std::size_t>>(kRingCapacity));
-  }
-
-  for (std::size_t chunk = begin; chunk < end; chunk += chunk_windows) {
-    const std::size_t n = std::min(chunk_windows, end - chunk);
-    std::vector<WindowRecords> slots(n);
-    // `abort` is the one cross-thread escape hatch: the consumer raises it
-    // when the sink throws (so blocked producers stop spinning on a full
-    // ring), and the producer side raises it when a body throws (so the
-    // consumer stops waiting for windows that will never arrive).
-    std::atomic<bool> abort{false};
-    std::exception_ptr consumer_error;
-    std::thread consumer([&] {
-      try {
-        std::vector<unsigned char> ready(n, 0);
-        std::size_t cursor = 0;
-        while (cursor < n && !abort.load(std::memory_order_acquire)) {
-          bool popped = false;
-          for (auto& ring : rings) {
-            std::size_t i = 0;
-            while (ring->try_pop(i)) {
-              ready[i] = 1;
-              popped = true;
-            }
-          }
-          while (cursor < n && ready[cursor]) {
-            sink.on_window(chunk + cursor, std::move(slots[cursor]));
-            ++cursor;
-          }
-          if (!popped) std::this_thread::yield();
+  pool.parallel_for(
+      shard_windows,
+      std::function<void(int, std::size_t)>([&](int lane, std::size_t i) {
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          slot_freed.wait(lock,
+                          [&] { return aborted || i < cursor + capacity; });
+          if (aborted) return;
         }
-      } catch (...) {
-        consumer_error = std::current_exception();
-        abort.store(true, std::memory_order_release);
-      }
-    });
-    try {
-      pool.parallel_for(
-          n, std::function<void(int, std::size_t)>(
-                 [&](int lane, std::size_t i) {
-                   const std::size_t w = chunk + i;
-                   const int hour = static_cast<int>(w / racks.size());
-                   const workload::RackMeta& rack = racks[w % racks.size()];
-                   slots[i] = simulate_window(config, burst_cfg, rack, hour);
-                   note_progress();
-                   while (!rings[static_cast<std::size_t>(lane)]->try_push(
-                       std::size_t{i})) {
-                     if (abort.load(std::memory_order_acquire)) return;
-                     std::this_thread::yield();
-                   }
-                 }));
-    } catch (...) {
-      abort.store(true, std::memory_order_release);
-      consumer.join();
-      throw;
-    }
-    consumer.join();
-    if (consumer_error) std::rethrow_exception(consumer_error);
-  }
+        const std::size_t w = begin + i;
+        const int hour = static_cast<int>(w / racks.size());
+        WindowRecords records;
+        try {
+          records = simulate_window(config, burst_cfg, racks[w % racks.size()],
+                                    hour,
+                                    workspaces[static_cast<std::size_t>(lane)]);
+        } catch (...) {
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            aborted = true;
+          }
+          slot_freed.notify_all();
+          throw;
+        }
+        std::unique_lock<std::mutex> lock(mu);
+        try {
+          if (aborted) return;
+          slots[i % capacity] = std::move(records);
+          ready[i % capacity] = 1;
+          if (progress) {
+            // Called under `mu`, so serialized and strictly increasing:
+            // each completion bumps the counter exactly once, and
+            // total/total is exactly 1.0.
+            ++completed;
+            progress(static_cast<double>(completed) /
+                     static_cast<double>(shard_windows));
+          }
+          if (i != cursor) return;
+          while (!aborted && ready[cursor % capacity] != 0) {
+            const std::size_t slot = cursor % capacity;
+            const std::size_t window = begin + cursor;
+            WindowRecords next = std::exchange(slots[slot], WindowRecords{});
+            ready[slot] = 0;
+            lock.unlock();
+            sink.on_window(window, std::move(next));
+            lock.lock();
+            ++cursor;
+            slot_freed.notify_all();
+          }
+        } catch (...) {
+          if (!lock.owns_lock()) lock.lock();
+          aborted = true;
+          lock.unlock();
+          slot_freed.notify_all();
+          throw;
+        }
+      }));
   if (progress && shard_windows == 0) progress(1.0);
 }
 

@@ -25,14 +25,17 @@ namespace msamp::fleet {
 
 /// Simulates the windows of `shard` (its canonical slice of the
 /// (region, hour, rack) sequence) on `config.threads` lanes (positive =
-/// exact count; 0 = MSAMP_THREADS if set, else all cores) and streams
-/// each completed window into `sink` strictly in canonical window order,
-/// on the calling thread.  Windows are handed over in bounded chunks, so
-/// peak memory is a few chunks of window records — never the whole shard,
-/// let alone the whole day.  `progress` (optional) is invoked serially
-/// after each completed window with a strictly increasing fraction of the
-/// *shard's* windows that ends at exactly 1.0 (also for empty shards).
-/// Throws std::invalid_argument if `shard` is invalid.
+/// exact count; 0 = MSAMP_THREADS if set, else all cores) and commits
+/// each completed window to `sink` strictly in canonical window order.
+/// Sink calls are serial, made by whichever pool lane is committing at the
+/// time (see WindowSink).  Lanes run at most a bounded
+/// reorder window (max(8 x lanes, 64) windows) ahead of the sink, so peak
+/// memory is that many window records — never the whole shard, let alone
+/// the whole day.  `progress` (optional) is invoked serially after each
+/// completed window with a strictly increasing fraction of the *shard's*
+/// windows that ends at exactly 1.0 (also for empty shards).  Throws
+/// std::invalid_argument if `shard` is invalid; an exception from a
+/// window or from the sink stops the run and is rethrown here.
 void run_fleet(const FleetConfig& config, const ShardSpec& shard,
                WindowSink& sink,
                std::function<void(double)> progress = nullptr);

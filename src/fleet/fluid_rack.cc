@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <type_traits>
+#include <utility>
 
 #include "util/simd/simd.h"
 #include "workload/diurnal.h"
@@ -53,7 +54,6 @@ FluidRack::FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
   core::ClockModel clocks(clock_cfg, num_servers_, clock_rng);
 
   processes_.reserve(static_cast<std::size_t>(num_servers_));
-  filters_.reserve(static_cast<std::size_t>(num_servers_));
   clock_offsets_.reserve(static_cast<std::size_t>(num_servers_));
   for (int s = 0; s < num_servers_; ++s) {
     workload::BurstProcessConfig bp;
@@ -68,29 +68,28 @@ FluidRack::FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
     processes_.emplace_back(
         workload::profile_for(rack.server_kind[static_cast<std::size_t>(s)]),
         bp, flow_base, rng_.fork(static_cast<std::uint64_t>(s) + 100));
-
-    core::TcFilterConfig fc;
-    fc.num_cpus = config.filter_cpus;
-    fc.num_buckets = config.samples_per_run;
-    filters_.push_back(std::make_unique<core::TcFilter>(fc));
     clock_offsets_.push_back(clocks.offset(s));
   }
 }
 
-void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
+void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result,
+                     FluidWorkspace& ws) {
   const int quads = static_cast<int>(shared_used_.size());
   // Snapshot shared occupancy (including last step's transient component)
   // so every queue sees the same DT limit this step — packets interleave
   // within the millisecond in reality.
-  std::vector<std::int64_t> shared_snapshot(shared_used_.size());
+  std::vector<std::int64_t>& shared_snapshot = ws.shared_snapshot_;
+  shared_snapshot.resize(shared_used_.size());
   for (std::size_t q = 0; q < shared_used_.size(); ++q) {
     shared_snapshot[q] = shared_used_[q] + quad_transient_[q];
   }
-  std::vector<std::int64_t> new_transient(shared_used_.size(), 0);
+  std::vector<std::int64_t>& new_transient = ws.new_transient_;
+  new_transient.assign(shared_used_.size(), 0);
 
   // Simultaneously bursting servers per quadrant (last step's view): the
   // collision count for the sub-ms micro-drop model below.
-  std::vector<int> quad_bursting(shared_used_.size(), 0);
+  std::vector<int>& quad_bursting = ws.quad_bursting_;
+  quad_bursting.assign(shared_used_.size(), 0);
   for (int s = 0; s < num_servers_; ++s) {
     if (bursting_prev_[static_cast<std::size_t>(s)] != 0) {
       ++quad_bursting[static_cast<std::size_t>(s % quads)];
@@ -99,8 +98,8 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
 
   // Workload demands for this step; optionally shaped by the fabric stage
   // before they reach the ToR downlinks (§8.1).
-  std::vector<workload::StepDemand> demands(
-      static_cast<std::size_t>(num_servers_));
+  std::vector<workload::StepDemand>& demands = ws.demands_;
+  demands.resize(static_cast<std::size_t>(num_servers_));
   for (int s = 0; s < num_servers_; ++s) {
     demands[static_cast<std::size_t>(s)] =
         processes_[static_cast<std::size_t>(s)].step();
@@ -130,7 +129,8 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
         config_.fabric.uplink_gbps * 1e9 / 8.0 / 1000.0);
     constexpr std::size_t kDemandStride =
         sizeof(workload::StepDemand) / sizeof(std::int64_t);
-    std::vector<std::int64_t> demand_col(demands.size());
+    std::vector<std::int64_t>& demand_col = ws.demand_col_;
+    demand_col.resize(demands.size());
     util::simd::gather_stride_i64(
         reinterpret_cast<const std::int64_t*>(demands.data()), kDemandStride,
         demands.size(), demand_col.data());
@@ -161,11 +161,16 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
   // and phase 3 below replays the rest of the per-server pipeline. All the
   // math between the phases is integer, so the split is byte-identical.
   const auto n_servers = static_cast<std::size_t>(num_servers_);
-  std::vector<std::int64_t> demand_bytes(n_servers);
-  std::vector<std::int64_t> limit_v(n_servers);
-  std::vector<std::int64_t> qlen_v(n_servers);
-  std::vector<std::int64_t> free_shared_v(n_servers);
-  std::vector<std::int64_t> accepted_v(n_servers);
+  std::vector<std::int64_t>& demand_bytes = ws.demand_bytes_;
+  std::vector<std::int64_t>& limit_v = ws.limit_;
+  std::vector<std::int64_t>& qlen_v = ws.qlen_;
+  std::vector<std::int64_t>& free_shared_v = ws.free_shared_;
+  std::vector<std::int64_t>& accepted_v = ws.accepted_;
+  demand_bytes.resize(n_servers);
+  limit_v.resize(n_servers);
+  qlen_v.resize(n_servers);
+  free_shared_v.resize(n_servers);
+  accepted_v.resize(n_servers);
   constexpr std::size_t kDemandStride =
       sizeof(workload::StepDemand) / sizeof(std::int64_t);
   util::simd::gather_stride_i64(
@@ -318,7 +323,7 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
       batch.out_bytes = delivered / 32 + 1500;
       batch.sketch[0] = d.sketch[0];
       batch.sketch[1] = d.sketch[1];
-      filters_[static_cast<std::size_t>(s)]->process_batch(
+      ws.filters_[static_cast<std::size_t>(s)].process_batch(
           0, batch, now + clock_offsets_[static_cast<std::size_t>(s)]);
     }
 
@@ -332,32 +337,55 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
   quad_transient_ = new_transient;
 }
 
-FluidRackResult FluidRack::run() {
-  FluidRackResult result;
+const FluidRackResult& FluidRack::run(FluidWorkspace& ws) {
+  const auto n_servers = static_cast<std::size_t>(num_servers_);
+  core::TcFilterConfig fc;
+  fc.num_cpus = config_.filter_cpus;
+  fc.num_buckets = config_.samples_per_run;
+  for (std::size_t s = 0; s < n_servers; ++s) {
+    if (s < ws.filters_.size()) {
+      ws.filters_[s].reset(fc);
+    } else {
+      ws.filters_.emplace_back(fc);
+    }
+  }
+
+  FluidRackResult& result = ws.result_;
+  result.offered_bytes = 0;
+  result.delivered_bytes = 0;
+  result.drop_bytes = 0;
+  result.ecn_bytes = 0;
+  result.fabric_drop_bytes = 0;
   sim::SimTime now = 0;
   for (int t = 0; t < config_.warmup_ms; ++t) {
-    step(now, /*sampling=*/false, nullptr);
+    step(now, /*sampling=*/false, nullptr, ws);
     now += sim::kMillisecond;
   }
-  for (auto& f : filters_) f->enable(sim::kMillisecond);
+  for (std::size_t s = 0; s < n_servers; ++s) {
+    ws.filters_[s].enable(sim::kMillisecond);
+  }
   // One extra step beyond the bucket count lets late-started (clock-offset)
   // filters fill their last bucket before the window closes.
   for (int t = 0; t <= config_.samples_per_run; ++t) {
-    step(now, /*sampling=*/true, &result);
+    step(now, /*sampling=*/true, &result, ws);
     now += sim::kMillisecond;
   }
-  std::vector<core::RunRecord> records;
-  records.reserve(filters_.size());
-  for (int s = 0; s < num_servers_; ++s) {
-    core::RunRecord r;
+  ws.records_.resize(n_servers);
+  for (std::size_t s = 0; s < n_servers; ++s) {
+    core::RunRecord& r = ws.records_[s];
     r.host = static_cast<net::HostId>(s);
-    r.start = filters_[static_cast<std::size_t>(s)]->start_time();
+    r.start = ws.filters_[s].start_time();
     r.interval = sim::kMillisecond;
-    r.buckets = filters_[static_cast<std::size_t>(s)]->read_aggregated();
-    records.push_back(std::move(r));
+    ws.filters_[s].read_aggregated(r.buckets, ws.tally_);
   }
-  result.sync = core::combine_runs(records);
+  core::combine_runs(ws.records_, result.sync);
   return result;
+}
+
+FluidRackResult FluidRack::run() {
+  FluidWorkspace ws;
+  run(ws);
+  return std::move(ws.result_);
 }
 
 }  // namespace msamp::fleet

@@ -36,6 +36,36 @@ struct FluidRackResult {
   std::int64_t fabric_drop_bytes = 0;  ///< upstream fabric discards
 };
 
+/// The buffers one window's simulation and measurement need, kept so a
+/// caller simulating window after window (a fleet runner lane) allocates
+/// them once instead of once per window: the per-server tc filters (the
+/// biggest, at filter_cpus x samples_per_run rows each), the read-out and
+/// aligned series, and the per-step scratch columns.  Contents never carry
+/// from one window to the next — every run resets or overwrites them — so
+/// a window's result does not depend on what the workspace ran before.
+/// Not thread-safe: one workspace per concurrent window.
+class FluidWorkspace {
+ private:
+  friend class FluidRack;
+
+  std::vector<core::TcFilter> filters_;
+  std::vector<core::RunRecord> records_;   ///< read_aggregated outputs
+  std::vector<std::uint64_t> tally_;       ///< read_aggregated accumulator
+  FluidRackResult result_;                 ///< sync series reused by align
+
+  // FluidRack::step scratch, sized per rack.
+  std::vector<std::int64_t> shared_snapshot_;
+  std::vector<std::int64_t> new_transient_;
+  std::vector<int> quad_bursting_;
+  std::vector<workload::StepDemand> demands_;
+  std::vector<std::int64_t> demand_col_;
+  std::vector<std::int64_t> demand_bytes_;
+  std::vector<std::int64_t> limit_;
+  std::vector<std::int64_t> qlen_;
+  std::vector<std::int64_t> free_shared_;
+  std::vector<std::int64_t> accepted_;
+};
+
 /// One-shot fluid simulation of a rack observation window.
 class FluidRack {
  public:
@@ -43,7 +73,11 @@ class FluidRack {
   FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
             int hour, util::Rng rng);
 
-  /// Runs warmup + sampled window and returns the combined result.
+  /// Runs warmup + sampled window in `workspace` and returns the combined
+  /// result, which lives in the workspace until its next run.
+  const FluidRackResult& run(FluidWorkspace& workspace);
+
+  /// Runs in a fresh workspace and returns the result by value.
   FluidRackResult run();
 
  private:
@@ -53,7 +87,8 @@ class FluidRack {
     std::int64_t ecn_part = 0;   ///< bytes of `len` carrying CE
   };
 
-  void step(sim::SimTime now, bool sampling, FluidRackResult* result);
+  void step(sim::SimTime now, bool sampling, FluidRackResult* result,
+            FluidWorkspace& ws);
 
   FleetConfig config_;  // by value: callers may pass temporaries
   util::Rng rng_;
@@ -81,7 +116,6 @@ class FluidRack {
   std::vector<std::uint8_t> bursting_prev_;
   /// Fabric stage: bytes buffered upstream per server, released next step.
   std::vector<std::int64_t> fabric_carry_;
-  std::vector<std::unique_ptr<core::TcFilter>> filters_;
   std::vector<sim::SimDuration> clock_offsets_;
 };
 

@@ -5,7 +5,7 @@
 // hour (w / racks) and rack (w % racks), racks numbered RegA then RegB —
 // exactly the order the original serial sweep used.  A ShardSpec owns a
 // contiguous slice of that sequence; the runner simulates the slice's
-// windows concurrently and streams each completed window's records into a
+// windows concurrently and commits each completed window's records to a
 // WindowSink strictly in canonical order, so a sink can write to disk (or
 // fold incrementally) without ever holding the whole day in RAM.
 //
@@ -47,10 +47,12 @@ struct WindowRecords {
 };
 
 /// Receives each completed window of a shard, strictly in canonical
-/// window order.  Calls are always serial (never concurrent), but they
-/// arrive on the runner's consumer thread when the pool has more than one
-/// lane — on the calling thread only in single-lane runs — so a sink must
-/// not assume thread identity (thread-locals, thread-affine handles).
+/// window order.  Calls are always serial (never concurrent), but each
+/// arrives on whichever pool lane is committing at the time — on the
+/// calling thread only in single-lane runs — so a sink must not assume
+/// thread identity (thread-locals, thread-affine handles).  An exception
+/// thrown here ends the run: no later window is delivered, and `run_fleet`
+/// rethrows it.
 /// Implementations decide what to keep: DatasetBuilder accumulates in
 /// RAM; a custom sink can stream straight to disk or fold running
 /// statistics.

@@ -44,12 +44,6 @@ struct ContentionSnapshot {
   std::uint64_t waits = 0;     ///< times a thread blocked in a cv wait
   std::uint64_t notifies = 0;  ///< notify_one/notify_all calls issued
 
-  // SPSC handoff rings (util::SpscRing).
-  std::uint64_t handoff_pushes = 0;      ///< successful pushes (denominator)
-  std::uint64_t handoff_full_spins = 0;  ///< push found the ring full
-  std::uint64_t handoff_pops = 0;        ///< successful pops (denominator)
-  std::uint64_t handoff_empty_spins = 0; ///< pop found the ring empty
-
   std::uint64_t lock_acquisitions() const noexcept {
     return lock_fast + lock_contended;
   }
@@ -58,12 +52,6 @@ struct ContentionSnapshot {
   }
   double cas_retry_rate() const noexcept {
     return ratio(cas_retries, cas_attempts + cas_retries);
-  }
-  double handoff_full_rate() const noexcept {
-    return ratio(handoff_full_spins, handoff_pushes + handoff_full_spins);
-  }
-  double handoff_empty_rate() const noexcept {
-    return ratio(handoff_empty_spins, handoff_pops + handoff_empty_spins);
   }
 
  private:
@@ -83,10 +71,6 @@ struct ContentionCounters {
   std::atomic<std::uint64_t> cas_retries{0};
   std::atomic<std::uint64_t> waits{0};
   std::atomic<std::uint64_t> notifies{0};
-  std::atomic<std::uint64_t> handoff_pushes{0};
-  std::atomic<std::uint64_t> handoff_full_spins{0};
-  std::atomic<std::uint64_t> handoff_pops{0};
-  std::atomic<std::uint64_t> handoff_empty_spins{0};
 
   /// Records one mutex acquisition probed via try_lock.
   void count_lock(bool fast) noexcept {
@@ -102,12 +86,6 @@ struct ContentionCounters {
     s.cas_retries = cas_retries.load(std::memory_order_relaxed);
     s.waits = waits.load(std::memory_order_relaxed);
     s.notifies = notifies.load(std::memory_order_relaxed);
-    s.handoff_pushes = handoff_pushes.load(std::memory_order_relaxed);
-    s.handoff_full_spins =
-        handoff_full_spins.load(std::memory_order_relaxed);
-    s.handoff_pops = handoff_pops.load(std::memory_order_relaxed);
-    s.handoff_empty_spins =
-        handoff_empty_spins.load(std::memory_order_relaxed);
     return s;
   }
 };

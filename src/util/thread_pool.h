@@ -60,7 +60,7 @@ class ThreadPool {
 
   /// Lane-aware variant: body(lane, i) with `lane` in [0, size()) — the
   /// calling thread is lane 0, workers are 1..size()-1 — so a caller can
-  /// keep per-lane state (scratch buffers, SPSC handoff rings) without
+  /// keep per-lane state (scratch buffers, workspaces) without
   /// thread-id hashing.  A lane runs on one fixed thread for the whole
   /// job.  Same contract as the index-only overload otherwise, including
   /// the determinism rule: results must not depend on which lane ran

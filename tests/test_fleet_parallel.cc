@@ -4,9 +4,11 @@
 // shared_dataset is safe under concurrent first-callers.
 #include "fleet/fleet_runner.h"
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -135,6 +137,86 @@ TEST(FleetParallel, MergedShardsByteIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_TRUE(merged->serialize() == serial_blob)
       << "merged shard bytes differ from the single-process run";
+}
+
+/// More windows than the runner's reorder window (64 slots at 4 lanes),
+/// each cheap, so lanes can run a full reorder window ahead of the sink.
+FleetConfig many_small_windows() {
+  FleetConfig cfg;
+  cfg.racks_per_region = 6;
+  cfg.servers_per_rack = 6;
+  cfg.hours = 12;
+  cfg.samples_per_run = 40;
+  cfg.warmup_ms = 4;
+  return cfg;
+}
+
+/// Forwards to a DatasetBuilder and records the order windows arrived in;
+/// optionally throws at one window or stalls at another.
+class ProbeSink final : public WindowSink {
+ public:
+  ProbeSink(const FleetConfig& cfg, std::size_t throw_at, std::size_t stall_at)
+      : builder_(cfg), throw_at_(throw_at), stall_at_(stall_at) {}
+
+  void on_window(std::size_t window, WindowRecords&& records) override {
+    seen_.push_back(window);
+    if (window == stall_at_) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    if (window == throw_at_) throw std::runtime_error("sink failed");
+    builder_.on_window(window, std::move(records));
+  }
+
+  const std::vector<std::size_t>& seen() const { return seen_; }
+  Dataset take() { return builder_.take(); }
+
+ private:
+  DatasetBuilder builder_;
+  std::size_t throw_at_;
+  std::size_t stall_at_;
+  std::vector<std::size_t> seen_;
+};
+
+constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+
+TEST(FleetParallel, SinkThrowMidRunPropagates) {
+  ScopedNoEnvThreads no_env;
+  FleetConfig cfg = many_small_windows();
+  cfg.threads = 4;
+  constexpr std::size_t kThrowAt = 37;
+  ProbeSink sink(cfg, kThrowAt, kNever);
+  EXPECT_THROW(run_fleet(cfg, ShardSpec{}, sink), std::runtime_error);
+  // Every window up to the failing one arrived, in order; none after it.
+  ASSERT_EQ(sink.seen().size(), kThrowAt + 1);
+  for (std::size_t i = 0; i < sink.seen().size(); ++i) {
+    EXPECT_EQ(sink.seen()[i], i);
+  }
+
+  // The failure leaves nothing behind: the next run, on as many lanes,
+  // completes and produces the serial bytes.
+  Dataset again = run_fleet(cfg);
+  FleetConfig serial = cfg;
+  serial.threads = 1;
+  EXPECT_TRUE(again.serialize() == run_fleet(serial).serialize());
+}
+
+TEST(FleetParallel, SlowSinkKeepsCanonicalOrder) {
+  // Window 0's sink call stalls long enough for the other lanes to fill
+  // the whole reorder window and block on it; the run must still deliver
+  // every window once, in canonical order, with the serial bytes.
+  ScopedNoEnvThreads no_env;
+  FleetConfig cfg = many_small_windows();
+  cfg.threads = 4;
+  ProbeSink sink(cfg, kNever, /*stall_at=*/0);
+  run_fleet(cfg, ShardSpec{}, sink);
+  const std::size_t windows =
+      static_cast<std::size_t>(2 * cfg.racks_per_region) *
+      static_cast<std::size_t>(cfg.hours);
+  ASSERT_EQ(sink.seen().size(), windows);
+  for (std::size_t i = 0; i < windows; ++i) EXPECT_EQ(sink.seen()[i], i);
+  FleetConfig serial = cfg;
+  serial.threads = 1;
+  EXPECT_TRUE(sink.take().serialize() == run_fleet(serial).serialize());
 }
 
 TEST(FleetParallel, SharedDatasetRejectsPartialShardCache) {

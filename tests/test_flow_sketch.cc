@@ -2,7 +2,9 @@
 // saturation behavior, and merge semantics.
 #include "core/flow_sketch.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +128,50 @@ TEST(FlowSketch, HashSpreadsAcrossBothWords) {
   for (int i = 0; i < 1000; ++i) s.add(rng.next());
   EXPECT_GT(std::popcount(s.word(0)), 32);
   EXPECT_GT(std::popcount(s.word(1)), 32);
+}
+
+TEST(FlowSketch, EstimateTableMatchesClosedFormBitForBit) {
+  // The table must reproduce the libm closed form exactly — estimates land
+  // in dataset bytes — for every zero count, including the saturated
+  // sketch (0 zeros) and the empty one (128 zeros, where the closed form
+  // gives -0.0).
+  const double* table = FlowSketch::estimate_table();
+  for (int zeros = 0; zeros <= FlowSketch::kBits; ++zeros) {
+    const double m = FlowSketch::kBits;
+    // Evaluated by libm at run time (volatile defeats constant folding),
+    // as FlowSketch::estimate() always evaluated it.
+    const volatile double fraction =
+        static_cast<double>(zeros) / FlowSketch::kBits;
+    const double expected = zeros == 0
+                                ? -m * std::log(1.0 / FlowSketch::kBits)
+                                : -m * std::log(fraction);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(table[zeros]),
+              std::bit_cast<std::uint64_t>(expected))
+        << "zeros=" << zeros;
+
+    // And estimate() reads the entry for the sketch's own zero count.
+    const int ones = FlowSketch::kBits - zeros;
+    const std::uint64_t lo = ones >= 64 ? ~0ULL : (1ULL << ones) - 1;
+    const std::uint64_t hi =
+        ones <= 64 ? 0 : (ones == 128 ? ~0ULL : (1ULL << (ones - 64)) - 1);
+    FlowSketch sketch;
+    sketch.set_words(lo, hi);
+    ASSERT_EQ(sketch.popcount(), ones);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sketch.estimate()),
+              std::bit_cast<std::uint64_t>(expected))
+        << "zeros=" << zeros;
+  }
+}
+
+TEST(FlowSketch, PopcountMatchesStdPopcount) {
+  util::Rng rng(11);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::uint64_t w0 = rng.next();
+    const std::uint64_t w1 = trial % 3 == 0 ? 0 : rng.next() & rng.next();
+    FlowSketch s;
+    s.set_words(w0, w1);
+    EXPECT_EQ(s.popcount(), std::popcount(w0) + std::popcount(w1));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the millisecond-granularity fluid rack simulator.
 #include "fleet/fluid_rack.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "analysis/contention.h"
@@ -130,6 +132,60 @@ TEST(FluidRack, DeterministicForSeed) {
     for (std::size_t k = 0; k < ra.sync.num_samples(); ++k) {
       ASSERT_EQ(ra.sync.series[s][k].in_bytes, rb.sync.series[s][k].in_bytes);
     }
+  }
+}
+
+/// Field-by-field (bitwise for the series) equality of two window results.
+void expect_same_result(const FluidRackResult& got,
+                        const FluidRackResult& want) {
+  EXPECT_EQ(got.offered_bytes, want.offered_bytes);
+  EXPECT_EQ(got.delivered_bytes, want.delivered_bytes);
+  EXPECT_EQ(got.drop_bytes, want.drop_bytes);
+  EXPECT_EQ(got.ecn_bytes, want.ecn_bytes);
+  EXPECT_EQ(got.fabric_drop_bytes, want.fabric_drop_bytes);
+  EXPECT_EQ(got.sync.grid_start, want.sync.grid_start);
+  EXPECT_EQ(got.sync.interval, want.sync.interval);
+  EXPECT_EQ(got.sync.hosts, want.sync.hosts);
+  ASSERT_EQ(got.sync.num_servers(), want.sync.num_servers());
+  for (std::size_t s = 0; s < want.sync.num_servers(); ++s) {
+    const auto& a = got.sync.series[s];
+    const auto& b = want.sync.series[s];
+    ASSERT_EQ(a.size(), b.size()) << "server " << s;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), b.size() * sizeof(b[0])), 0)
+        << "server " << s;
+  }
+}
+
+TEST(FluidRack, ReusedWorkspaceMatchesFreshRuns) {
+  // Windows of different shapes back to back through one workspace — more
+  // servers, then fewer, fabric on and off, a loud rack before a quiet
+  // one — must each equal a run in a fresh workspace: no filter row,
+  // read-out, aligned series or step column may carry over.
+  FleetConfig fabric = small_config();
+  fabric.fabric.enabled = true;
+  fabric.fabric.uplink_gbps = 40.0;
+  FleetConfig longer = small_config();
+  longer.samples_per_run = 260;
+  struct Window {
+    workload::RackMeta rack;
+    FleetConfig cfg;
+    int hour;
+    std::uint64_t seed;
+  };
+  const std::vector<Window> windows = {
+      {make_rack(24, workload::TaskKind::kCache, 4.0), fabric, 6, 21},
+      {make_rack(8, workload::TaskKind::kWeb), small_config(), 3, 22},
+      {make_rack(46, workload::TaskKind::kQuiet, 0.5), longer, 2, 23},
+      {make_rack(16, workload::TaskKind::kMlTraining), small_config(), 6, 24},
+  };
+  FluidWorkspace ws;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    const Window& w = windows[i];
+    const FluidRackResult fresh =
+        FluidRack(w.rack, w.cfg, w.hour, util::Rng(w.seed)).run();
+    FluidRack reused(w.rack, w.cfg, w.hour, util::Rng(w.seed));
+    expect_same_result(reused.run(ws), fresh);
   }
 }
 

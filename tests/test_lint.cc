@@ -374,7 +374,7 @@ TEST(LintCounters, SanctionedBenchAndNonOutputPathsAreClean) {
   // Non-output paths (the instrumented components, their tests) may of
   // course name their own counters.
   EXPECT_TRUE(lint_source("src/util/thread_pool.cc", src).empty());
-  EXPECT_TRUE(lint_source("src/util/spsc_ring.h", src).empty());
+  EXPECT_TRUE(lint_source("src/util/contention_counters.h", src).empty());
   EXPECT_TRUE(lint_source("tests/test_thread_pool.cc", src).empty());
 }
 
