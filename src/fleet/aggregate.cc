@@ -1,6 +1,7 @@
 #include "fleet/aggregate.h"
 
 #include <algorithm>
+#include <span>
 
 namespace msamp::fleet {
 namespace {
@@ -15,6 +16,59 @@ bool passes(const BurstColumns& bursts, std::size_t i, BurstFilter filter) {
       return bursts.contended[i] == 0;
   }
   return true;
+}
+
+/// Rows per block in the branch-free loops below: a fixed trip count the
+/// compiler vectorizes at -O2.
+constexpr std::size_t kBlock = 16;
+
+/// Sum of a uint8 column over rows [begin, end).
+long column_sum(std::span<const std::uint8_t> col, std::size_t begin,
+                std::size_t end) {
+  long total = 0;
+  std::size_t i = begin;
+  for (; i + kBlock <= end; i += kBlock) {
+    unsigned block = 0;  // at most 16 * 255: no overflow
+    for (std::size_t k = 0; k < kBlock; ++k) block += col[i + k];
+    total += block;
+  }
+  for (; i < end; ++i) total += col[i];
+  return total;
+}
+
+/// Calls `fn(begin, end, cls)` for each maximal run [begin, end) of
+/// consecutive burst rows sharing (region, rack_id), `cls` being the run's
+/// class: one class lookup per run rather than per row.  Exact for any row
+/// order, since every row of a run has the same class.
+template <typename Fn>
+void for_each_class_run(const BurstColumns& bursts, const ClassMap& classes,
+                        Fn&& fn) {
+  const std::size_t n = bursts.size();
+  const std::uint32_t* racks = bursts.rack_id.data();
+  const std::uint8_t* regions = bursts.region.data();
+  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+    const std::uint8_t region = regions[begin];
+    const std::uint32_t rack_id = racks[begin];
+    end = begin + 1;
+    // Whole blocks first, with a branch-free compare the compiler can
+    // vectorize; runs are a window's bursts, hundreds of rows long.
+    while (end + kBlock <= n) {
+      std::uint32_t rack_diff = 0;
+      std::uint8_t region_diff = 0;
+      for (std::size_t k = 0; k < kBlock; ++k) {
+        rack_diff |= racks[end + k] ^ rack_id;
+      }
+      for (std::size_t k = 0; k < kBlock; ++k) {
+        region_diff |= static_cast<std::uint8_t>(regions[end + k] ^ region);
+      }
+      if ((rack_diff | region_diff) != 0) break;
+      end += kBlock;
+    }
+    while (end < n && racks[end] == rack_id && regions[end] == region) {
+      ++end;
+    }
+    fn(begin, end, burst_class(region, rack_id, classes));
+  }
 }
 
 }  // namespace
@@ -43,13 +97,13 @@ std::array<ClassBurstStats, analysis::kNumRackClasses> table2_summary(
     const DatasetView& view, const ClassMap& classes) {
   const BurstColumns& bursts = view.bursts();
   std::array<ClassBurstStats, analysis::kNumRackClasses> out{};
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    const auto cls = burst_class(bursts.region[i], bursts.rack_id[i], classes);
+  for_each_class_run(bursts, classes, [&](std::size_t begin, std::size_t end,
+                                          analysis::RackClass cls) {
     auto& stats = out[static_cast<std::size_t>(cls)];
-    ++stats.bursts;
-    stats.contended += bursts.contended[i];
-    stats.lossy += bursts.lossy[i];
-  }
+    stats.bursts += static_cast<long>(end - begin);
+    stats.contended += column_sum(bursts.contended, begin, end);
+    stats.lossy += column_sum(bursts.lossy, begin, end);
+  });
   return out;
 }
 
@@ -64,17 +118,17 @@ std::vector<LossBucket> loss_by_contention(const DatasetView& view,
     out[static_cast<std::size_t>(b)].hi = (b + 1) * bin_width;
   }
   const BurstColumns& bursts = view.bursts();
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    if (burst_class(bursts.region[i], bursts.rack_id[i], classes) !=
-        rack_class) {
-      continue;
+  for_each_class_run(bursts, classes, [&](std::size_t begin, std::size_t end,
+                                          analysis::RackClass cls) {
+    if (cls != rack_class) return;
+    for (std::size_t i = begin; i < end; ++i) {
+      const int bin =
+          std::min(bursts.max_contention[i] / bin_width, bins - 1);
+      auto& bucket = out[static_cast<std::size_t>(bin)];
+      ++bucket.bursts;
+      bucket.lossy += bursts.lossy[i];
     }
-    const int bin =
-        std::min(bursts.max_contention[i] / bin_width, bins - 1);
-    auto& bucket = out[static_cast<std::size_t>(bin)];
-    ++bucket.bursts;
-    bucket.lossy += bursts.lossy[i];
-  }
+  });
   return out;
 }
 
@@ -88,17 +142,17 @@ std::vector<LossBucket> loss_by_length(const DatasetView& view,
     out[static_cast<std::size_t>(len - 1)].hi = len + 1;
   }
   const BurstColumns& bursts = view.bursts();
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    if (burst_class(bursts.region[i], bursts.rack_id[i], classes) !=
-            rack_class ||
-        !passes(bursts, i, filter)) {
-      continue;
+  for_each_class_run(bursts, classes, [&](std::size_t begin, std::size_t end,
+                                          analysis::RackClass cls) {
+    if (cls != rack_class) return;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!passes(bursts, i, filter)) continue;
+      const int len = std::clamp<int>(bursts.len_ms[i], 1, max_len_ms);
+      auto& bucket = out[static_cast<std::size_t>(len - 1)];
+      ++bucket.bursts;
+      bucket.lossy += bursts.lossy[i];
     }
-    const int len = std::clamp<int>(bursts.len_ms[i], 1, max_len_ms);
-    auto& bucket = out[static_cast<std::size_t>(len - 1)];
-    ++bucket.bursts;
-    bucket.lossy += bursts.lossy[i];
-  }
+  });
   return out;
 }
 
@@ -113,18 +167,18 @@ std::vector<LossBucket> loss_by_connections(const DatasetView& view,
     out[static_cast<std::size_t>(b)].hi = (b + 1) * bin_width;
   }
   const BurstColumns& bursts = view.bursts();
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    if (burst_class(bursts.region[i], bursts.rack_id[i], classes) !=
-            rack_class ||
-        !passes(bursts, i, filter)) {
-      continue;
+  for_each_class_run(bursts, classes, [&](std::size_t begin, std::size_t end,
+                                          analysis::RackClass cls) {
+    if (cls != rack_class) return;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!passes(bursts, i, filter)) continue;
+      const int bin = std::min(
+          static_cast<int>(bursts.avg_conns[i]) / bin_width, num_bins - 1);
+      auto& bucket = out[static_cast<std::size_t>(bin)];
+      ++bucket.bursts;
+      bucket.lossy += bursts.lossy[i];
     }
-    const int bin = std::min(static_cast<int>(bursts.avg_conns[i]) / bin_width,
-                             num_bins - 1);
-    auto& bucket = out[static_cast<std::size_t>(bin)];
-    ++bucket.bursts;
-    bucket.lossy += bursts.lossy[i];
-  }
+  });
   return out;
 }
 

@@ -4,7 +4,11 @@
 // uses.
 #include "fleet/aggregate.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace msamp::fleet {
 namespace {
@@ -202,6 +206,190 @@ TEST(Aggregate, BusyHourContention) {
       busy_hour_contention(f.view, workload::RegionId::kRegB, 6);
   ASSERT_EQ(regb.size(), 1u);
   EXPECT_FLOAT_EQ(static_cast<float>(regb[0]), 3.5f);
+}
+
+/// Per-row reference aggregates: one burst_class lookup per row, as the
+/// aggregations were first written.
+struct Reference {
+  const BurstColumns& b;
+  const ClassMap& classes;
+
+  bool in(std::size_t i, analysis::RackClass cls, BurstFilter filter) const {
+    if (burst_class(b.region[i], b.rack_id[i], classes) != cls) return false;
+    return filter == BurstFilter::kAll ||
+           (filter == BurstFilter::kContended) == (b.contended[i] != 0);
+  }
+
+  std::array<ClassBurstStats, analysis::kNumRackClasses> table2() const {
+    std::array<ClassBurstStats, analysis::kNumRackClasses> out{};
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      auto& s = out[static_cast<std::size_t>(
+          burst_class(b.region[i], b.rack_id[i], classes))];
+      ++s.bursts;
+      s.contended += b.contended[i];
+      s.lossy += b.lossy[i];
+    }
+    return out;
+  }
+
+  /// Bursts and lossy bursts per bin, `bin_of` mapping a row to its bin.
+  template <typename BinOf>
+  std::vector<std::pair<long, long>> curve(analysis::RackClass cls,
+                                           BurstFilter filter, int bins,
+                                           BinOf bin_of) const {
+    std::vector<std::pair<long, long>> out(static_cast<std::size_t>(bins));
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (!in(i, cls, filter)) continue;
+      auto& bucket = out[static_cast<std::size_t>(bin_of(i))];
+      ++bucket.first;
+      bucket.second += b.lossy[i];
+    }
+    return out;
+  }
+};
+
+std::vector<std::pair<long, long>> counts(
+    const std::vector<LossBucket>& curve) {
+  std::vector<std::pair<long, long>> out;
+  for (const auto& bucket : curve) {
+    out.emplace_back(bucket.bursts, bucket.lossy);
+  }
+  return out;
+}
+
+/// Burst rows interleaving racks and regions: A1, A2, A1, a RegB row, A1,
+/// RegB rows carrying RegA rack ids (1 and 2), a RegA row of a rack absent
+/// from the rack table, then seeded random rows over the same ids.
+Dataset make_interleaved_dataset() {
+  Dataset ds = make_dataset();
+  ds.bursts.clear();
+  util::Rng rng(7);
+  const auto add = [&](std::uint32_t rack, int region) {
+    ds.bursts.push_back(burst(rack, region,
+                              static_cast<int>(rng.uniform_int(26)),
+                              rng.uniform(0.0, 90.0),
+                              static_cast<int>(rng.uniform_int(40)),
+                              rng.bernoulli(0.3)));
+  };
+  for (const auto& [rack, region] :
+       std::vector<std::pair<std::uint32_t, int>>{{1, 0},
+                                                  {2, 0},
+                                                  {1, 0},
+                                                  {3, 1},
+                                                  {1, 0},
+                                                  {1, 1},
+                                                  {1, 1},
+                                                  {2, 1},
+                                                  {2, 0},
+                                                  {999, 0},
+                                                  {4, 1}}) {
+    add(rack, region);
+  }
+  const std::uint32_t ids[] = {1, 2, 3, 4, 999};
+  for (int i = 0; i < 200; ++i) {
+    // Runs of 1-4 rows of one (rack, region), so both run boundaries and
+    // multi-row runs occur throughout.
+    const std::uint32_t rack = ids[rng.uniform_int(5)];
+    const int region = static_cast<int>(rng.uniform_int(2));
+    for (auto n = rng.uniform_int(4) + 1; n > 0; --n) add(rack, region);
+  }
+  ds.window_counts[0].bursts = static_cast<std::uint32_t>(ds.bursts.size());
+  return ds;
+}
+
+/// Every aggregate over `view`, for every class, filter and bin width,
+/// equals the per-row reference; returns the answers for comparison
+/// across row orders.
+std::vector<std::vector<std::pair<long, long>>> check_against_reference(
+    const DatasetView& view) {
+  const ClassMap classes = build_class_map(view);
+  const Reference ref{view.bursts(), classes};
+  std::vector<std::vector<std::pair<long, long>>> answers;
+
+  const auto t2 = table2_summary(view, classes);
+  const auto t2_ref = ref.table2();
+  std::vector<std::pair<long, long>> t2_answer;
+  for (int c = 0; c < analysis::kNumRackClasses; ++c) {
+    const auto& got = t2[static_cast<std::size_t>(c)];
+    const auto& want = t2_ref[static_cast<std::size_t>(c)];
+    EXPECT_EQ(got.bursts, want.bursts) << "class " << c;
+    EXPECT_EQ(got.contended, want.contended) << "class " << c;
+    EXPECT_EQ(got.lossy, want.lossy) << "class " << c;
+    t2_answer.emplace_back(got.bursts, got.contended * 1000 + got.lossy);
+  }
+  answers.push_back(t2_answer);
+
+  const BurstColumns& b = view.bursts();
+  for (int c = 0; c < analysis::kNumRackClasses; ++c) {
+    const auto cls = static_cast<analysis::RackClass>(c);
+    for (int width : {1, 2, 3, 7}) {
+      for (int max_contention : {1, 9, 32}) {
+        const int bins = std::max(1, max_contention / width);
+        const auto got =
+            counts(loss_by_contention(view, classes, cls, width,
+                                      max_contention));
+        EXPECT_EQ(got, ref.curve(cls, BurstFilter::kAll, bins,
+                                 [&](std::size_t i) {
+                                   return std::min(
+                                       b.max_contention[i] / width, bins - 1);
+                                 }))
+            << "contention class " << c << " width " << width;
+        answers.push_back(got);
+      }
+    }
+    for (auto filter : {BurstFilter::kAll, BurstFilter::kContended,
+                        BurstFilter::kNonContended}) {
+      for (int max_len : {1, 10, 20}) {
+        const auto got =
+            counts(loss_by_length(view, classes, cls, filter, max_len));
+        EXPECT_EQ(got, ref.curve(cls, filter, max_len, [&](std::size_t i) {
+          return std::clamp<int>(b.len_ms[i], 1, max_len) - 1;
+        })) << "length class " << c << " max " << max_len;
+        answers.push_back(got);
+      }
+      for (int width : {1, 5, 10}) {
+        for (int num_bins : {1, 16}) {
+          const auto got = counts(
+              loss_by_connections(view, classes, cls, filter, width, num_bins));
+          EXPECT_EQ(got,
+                    ref.curve(cls, filter, num_bins, [&](std::size_t i) {
+                      return std::min(
+                          static_cast<int>(b.avg_conns[i]) / width,
+                          num_bins - 1);
+                    }))
+              << "connections class " << c << " width " << width;
+          answers.push_back(got);
+        }
+      }
+    }
+  }
+  return answers;
+}
+
+TEST(Aggregate, RunWiseClassificationMatchesPerRowReference) {
+  Dataset ds = make_interleaved_dataset();
+  const auto blob = ds.serialize();
+  DatasetView view;
+  ASSERT_TRUE(DatasetView::attach(blob.data(), blob.size(), &view));
+  // The RegB rows with RegA rack ids count as RegB.
+  const auto t2 = table2_summary(view, build_class_map(view));
+  long total = 0;
+  for (const auto& s : t2) total += s.bursts;
+  EXPECT_EQ(total, static_cast<long>(ds.bursts.size()));
+  const auto answers = check_against_reference(view);
+
+  // Row order does not change any answer.
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Dataset shuffled = ds;
+    util::Rng rng(seed);
+    rng.shuffle(shuffled.bursts);
+    const auto shuffled_blob = shuffled.serialize();
+    DatasetView shuffled_view;
+    ASSERT_TRUE(DatasetView::attach(shuffled_blob.data(),
+                                    shuffled_blob.size(), &shuffled_view));
+    EXPECT_EQ(check_against_reference(shuffled_view), answers)
+        << "shuffle seed " << seed;
+  }
 }
 
 }  // namespace

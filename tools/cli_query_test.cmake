@@ -1,7 +1,7 @@
 # Exercises `msampctl query` (the zero-copy DatasetView read path) and
 # `msampctl migrate` against a freshly generated day, and pins the failure
-# modes: querying a missing file and migrating an already-v6 file must fail
-# with a nonzero exit.
+# modes: querying a missing file, filtering outside the day, and migrating
+# an already-v6 file must fail with a nonzero exit.
 set(work ${CMAKE_CURRENT_BINARY_DIR}/cli_query_work)
 file(REMOVE_RECURSE ${work})
 file(MAKE_DIRECTORY ${work})
@@ -22,6 +22,17 @@ function(must_fail)
                   OUTPUT_QUIET ERROR_QUIET)
   if(rc EQUAL 0)
     message(FATAL_ERROR "msampctl ${ARGN} succeeded; expected failure")
+  endif()
+endfunction()
+
+# A filter that cannot select anything in the day is a usage error (exit 2),
+# not an empty answer.
+function(must_fail_usage)
+  execute_process(COMMAND ${MSAMPCTL} ${ARGN}
+                  WORKING_DIRECTORY ${work} RESULT_VARIABLE rc
+                  OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "msampctl ${ARGN} exited ${rc}; expected 2")
   endif()
 endfunction()
 
@@ -56,5 +67,14 @@ must_fail(query --dataset missing.bin)
 must_fail(query --dataset ds.bin --racks 5-2)
 must_fail(query --dataset ds.bin --what bogus)
 must_fail(migrate --in ds.bin --out ds2.bin)
+
+# Filters outside the 2-hour, 6-rack day: an hour past the end, a negative
+# hour (which once meant "every hour"), a rack range disjoint from the
+# rack ids.  The last hour and the last rack id still select.
+must_fail_usage(query --dataset ds.bin --hour 99)
+must_fail_usage(query --dataset ds.bin --hour 2)
+must_fail_usage(query --dataset ds.bin --hour -7 --what windows)
+must_fail_usage(query --dataset ds.bin --racks 100-200)
+run(ignored query --dataset ds.bin --hour 1 --racks 5-100 --what bursts)
 
 file(REMOVE_RECURSE ${work})

@@ -77,7 +77,8 @@
 //       records (--what bursts; --limit rows, default 20, 0 = all), or an
 //       aggregate summary (--what summary, the default).  Reads stream
 //       from the mapping, so querying a cluster-scale day stays at a
-//       bounded RSS.
+//       bounded RSS.  An --hour outside the day's [0, hours) or a --racks
+//       range holding none of its rack ids is a usage error (exit 2).
 //
 //   msampctl migrate --in old.bin [--out new.bin]
 //       Rewrite a legacy v4/v5 row-wise dataset file as v6 columnar
@@ -101,6 +102,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -594,12 +596,43 @@ int cmd_query(const Flags& flags) {
       die_usage("unknown --region '" + r + "' (A|B)");
     }
   }
-  const int hour = flags.has("hour")
-                       ? static_cast<int>(flags.num("hour", 0))
-                       : -1;
+  int hour = -1;
+  if (flags.has("hour")) {
+    const long h = flags.num("hour", 0);
+    const int hours = view.config().hours;
+    if (h < 0 || h >= hours) {
+      die_usage("--hour " + flags.str("hour", "") + " is outside the day's " +
+                std::to_string(hours) + " hour(s) [0, " +
+                std::to_string(hours) + ")");
+    }
+    hour = static_cast<int>(h);
+  }
+  // Measured class per rack id, built once: DatasetView::class_of scans
+  // the rack table, and a listing asks once per row.  The first entry for
+  // an id wins, as in class_of; unknown ids are RegA-Typical.
+  const fleet::RackInfoColumns& rack_table = view.racks();
+  std::unordered_map<std::uint32_t, analysis::RackClass> class_by_rack;
+  class_by_rack.reserve(rack_table.size());
+  for (std::size_t i = 0; i < rack_table.size(); ++i) {
+    class_by_rack.emplace(
+        rack_table.rack_id[i],
+        static_cast<analysis::RackClass>(rack_table.rack_class[i]));
+  }
+  const auto class_of = [&](std::uint32_t rack_id) {
+    const auto it = class_by_rack.find(rack_id);
+    return it == class_by_rack.end() ? analysis::RackClass::kRegATypical
+                                     : it->second;
+  };
   std::uint32_t rack_lo = 0, rack_hi = ~std::uint32_t{0};
   if (flags.has("racks")) {
     std::tie(rack_lo, rack_hi) = parse_rack_range(flags.str("racks", ""));
+    const bool any = std::any_of(
+        rack_table.rack_id.begin(), rack_table.rack_id.end(),
+        [&](std::uint32_t id) { return id >= rack_lo && id <= rack_hi; });
+    if (!any) {
+      die_usage("--racks " + flags.str("racks", "") +
+                " matches none of the dataset's rack ids");
+    }
   }
   int want_class = -1;
   if (flags.has("class")) {
@@ -625,13 +658,13 @@ int cmd_query(const Flags& flags) {
     if (hour >= 0 && w.key.hour != hour) return false;
     if (w.key.rack_id < rack_lo || w.key.rack_id > rack_hi) return false;
     if (want_class >= 0 &&
-        static_cast<int>(view.class_of(w.key.rack_id)) != want_class) {
+        static_cast<int>(class_of(w.key.rack_id)) != want_class) {
       return false;
     }
     return true;
   };
   const auto class_name = [&](std::uint32_t rack_id) {
-    return std::string(analysis::rack_class_name(view.class_of(rack_id)));
+    return analysis::rack_class_name(class_of(rack_id));
   };
 
   long matched = 0, rows = 0, truncated = 0;
