@@ -47,14 +47,16 @@ fi
 # ASan+UBSan lane: a third build tree with -DMSAMP_ASAN=ON, running the
 # byte-level parsers — dataset (de)serialization including the hostile-blob
 # hardening tests, and the msampctl flag-parser/CLI tests — plus the
-# util::Table arena's offset arithmetic and the run-wise aggregates, with
-# AddressSanitizer and UBSan watching the bounds checks.  Skip with
-# MSAMP_SKIP_ASAN=1.
+# util::Table arena's offset arithmetic, the run-wise aggregates, and the
+# packet simulator (sim::Callback's placement-new inline storage, the
+# event heap's slot indices) with the net/transport/sampler suites that
+# drive it, with AddressSanitizer and UBSan watching the bounds checks.
+# Skip with MSAMP_SKIP_ASAN=1.
 if [ "${MSAMP_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan "${GEN[@]}" -DMSAMP_ASAN=ON
   cmake --build build-asan --target msamp_tests msampctl msamp_lint
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|Table|FormatDouble|FormatBytes|Aggregate|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd)'
+    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|Table|FormatDouble|FormatBytes|Aggregate|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|Simulator|Callback|NicFixture|TcpFixture|SwitchFixture|SamplerFixture|Host|Rack|Validation)'
   # Cross-check: the unaligned-load/store forms in every vector kernel run
   # under ASan via the Simd suites above; the scalar path gets the same run.
   MSAMP_SIMD=scalar ctest --test-dir build-asan --output-on-failure \

@@ -49,8 +49,11 @@ bool ChildProcess::spawn(const std::vector<std::string>& argv,
     if (error != nullptr) *error = "empty worker command";
     return false;
   }
+  // Close-on-exec, so a later worker does not inherit this worker's read
+  // end: if the coordinator dies, the pipe must lose its last reader and
+  // the worker's next heartbeat must raise SIGPIPE.
   int fds[2];
-  if (::pipe(fds) != 0) return fail("pipe");
+  if (::pipe2(fds, O_CLOEXEC) != 0) return fail("pipe");
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -58,8 +61,14 @@ bool ChildProcess::spawn(const std::vector<std::string>& argv,
     return fail("fork");
   }
   if (pid == 0) {
-    // Child: stdout becomes the heartbeat pipe; stderr stays shared so
-    // worker diagnostics land in the coordinator's stderr.
+    // Child: leads its own process group, so kill_hard reaches anything
+    // it forks.  SIGPIPE goes back to its default in case the coordinator
+    // inherited it ignored: a worker must die on writing to a dead
+    // coordinator.  stdout becomes the heartbeat pipe (dup2 clears
+    // close-on-exec); stderr stays shared so worker diagnostics land in
+    // the coordinator's stderr.
+    ::setpgid(0, 0);
+    ::signal(SIGPIPE, SIG_DFL);
     ::dup2(fds[1], STDOUT_FILENO);
     ::close(fds[0]);
     ::close(fds[1]);
@@ -70,6 +79,9 @@ bool ChildProcess::spawn(const std::vector<std::string>& argv,
     ::execv(cargv[0], cargv.data());
     ::_exit(127);
   }
+  // Also set the group from this side, so kill_hard cannot race the
+  // child's own setpgid; EACCES after the child's exec is harmless.
+  ::setpgid(pid, pid);
   ::close(fds[1]);
   ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
   pid_ = pid;
@@ -109,7 +121,10 @@ bool ChildProcess::try_wait(int* raw_status) {
 
 void ChildProcess::kill_hard() {
   if (pid_ <= 0) return;
-  ::kill(pid_, SIGKILL);
+  // The whole group: a wedged worker's descendants must not outlive it
+  // (holding the inherited stderr open, or running on unsupervised).  The
+  // direct kill is a fallback so the blocking reap below cannot hang.
+  if (::kill(-pid_, SIGKILL) != 0) ::kill(pid_, SIGKILL);
   int status = 0;
   while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
   }

@@ -27,8 +27,11 @@ std::int64_t steady_now_ms();
 std::string self_exe_path();
 
 /// One spawned worker: fork/exec with stdout redirected into a pipe the
-/// parent reads non-blockingly.  The destructor kills and reaps a child
-/// that is still running — a dying coordinator never leaks workers.
+/// parent reads non-blockingly.  Each worker leads its own process group.
+/// The destructor kills and reaps a child that is still running — a
+/// dying coordinator never leaks workers.  A coordinator killed outright
+/// runs no destructor; its workers then die of SIGPIPE on their next
+/// heartbeat, since each pipe's only read end was the coordinator's.
 class ChildProcess {
  public:
   ChildProcess() = default;
@@ -57,7 +60,8 @@ class ChildProcess {
   /// read_available afterwards to drain the last buffered heartbeats.
   bool try_wait(int* raw_status);
 
-  /// SIGKILL + blocking reap; no-op when not running.
+  /// SIGKILL to the child's whole process group + blocking reap of the
+  /// child; no-op when not running.
   void kill_hard();
 
  private:

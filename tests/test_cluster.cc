@@ -9,12 +9,18 @@
 #include "cluster/coordinator.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/process.h"
@@ -178,6 +184,87 @@ TEST(ChildProcess, KillHardReapsARunningChild) {
   EXPECT_TRUE(child.running());
   child.kill_hard();
   EXPECT_FALSE(child.running());
+}
+
+// True once `pid` has exited: gone, or a zombie its new parent (init, for
+// an orphan) has not reaped yet.  Polls for up to `timeout_ms`.
+bool exits_within(pid_t pid, int timeout_ms) {
+  const std::string stat = "/proc/" + std::to_string(pid) + "/stat";
+  for (int waited = 0; waited <= timeout_ms; waited += 10) {
+    if (::kill(pid, 0) != 0 && errno == ESRCH) return true;
+    std::ifstream in(stat);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto paren = text.rfind(')');
+    if (paren != std::string::npos && paren + 2 < text.size() &&
+        text[paren + 2] == 'Z') {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+TEST(ChildProcess, KillHardTakesTheWorkersDescendants) {
+  // A worker that forks: without the process group, the grandchild would
+  // be orphaned and keep running (and keep stderr open) for 30 s.
+  ChildProcess child;
+  std::string why;
+  ASSERT_TRUE(child.spawn({"/bin/sh", "-c", "sleep 30 & echo $!; wait"}, &why))
+      << why;
+  std::string out;
+  for (int i = 0; i < 500 && out.find('\n') == std::string::npos; ++i) {
+    child.read_available(&out);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_NE(out.find('\n'), std::string::npos) << "no grandchild pid";
+  const pid_t grandchild = static_cast<pid_t>(std::stoi(out));
+  ASSERT_GT(grandchild, 0);
+  child.kill_hard();
+  EXPECT_FALSE(child.running());
+  EXPECT_TRUE(exits_within(grandchild, 5000)) << "grandchild " << grandchild;
+}
+
+TEST(ChildProcess, WorkerDiesOfSigpipeWhenTheCoordinatorDies) {
+  // A stand-in coordinator spawns a heartbeating worker, then a wedged
+  // one, and dies without running destructors (as under SIGKILL).  It
+  // ignores SIGPIPE, and the worker shell cannot reset an ignored signal,
+  // so this also checks that spawn restores the default.  The wedged
+  // sibling must not hold the first worker's pipe open.
+  int report[2];
+  ASSERT_EQ(::pipe(report), 0);
+  const pid_t coordinator = ::fork();
+  ASSERT_GE(coordinator, 0);
+  if (coordinator == 0) {
+    ::close(report[0]);
+    ::signal(SIGPIPE, SIG_IGN);
+    ChildProcess beating;
+    ChildProcess wedged;
+    std::string why;
+    const std::string loop = "while :; do echo hb; sleep 0.02; done";
+    if (!beating.spawn({"/bin/sh", "-c", loop}, &why) ||
+        !wedged.spawn({"/bin/sh", "-c", "exec sleep 30"}, &why)) {
+      ::_exit(1);
+    }
+    const pid_t pids[2] = {beating.pid(), wedged.pid()};
+    const bool sent = ::write(report[1], pids, sizeof(pids)) ==
+                      static_cast<ssize_t>(sizeof(pids));
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(report[1]);
+  pid_t pids[2] = {-1, -1};
+  const ssize_t got = ::read(report[0], pids, sizeof(pids));
+  ::close(report[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(coordinator, &status, 0), coordinator);
+  ASSERT_TRUE(exited_ok(status)) << describe_status(status);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof(pids)));
+  EXPECT_TRUE(exits_within(pids[0], 5000)) << "worker " << pids[0];
+  // The wedged worker never writes, so nothing stops it but a kill (nor,
+  // had this failed, the heartbeating one).
+  ::kill(-pids[0], SIGKILL);
+  ::kill(-pids[1], SIGKILL);
+  EXPECT_TRUE(exits_within(pids[1], 5000));
 }
 
 TEST(ChildProcess, SelfExePathResolves) {
