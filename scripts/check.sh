@@ -67,20 +67,17 @@ fi
 # byte-identical stdout and bench_out/ CSVs for any MSAMP_THREADS.
 scripts/check_bench_determinism.sh build
 
-# Multi-process determinism: `msampctl fleet --shard I/N` runs (different
-# thread counts per shard) merged back must equal the whole-day dataset
-# byte for byte.
-scripts/check_shard_determinism.sh build
-
 # Cluster determinism: the fault-tolerant orchestrator (`msampctl cluster`,
 # worker processes + spill sinks + streaming merge) must reproduce the
 # single-process bytes — including with workers killed and retried under
 # --fault-rate.
 scripts/check_cluster_determinism.sh build
 
-# Zero-copy read-path determinism: v6 bytes identical across MSAMP_THREADS
-# and fleet-vs-merged-shards, and the mapped readers (`msampctl report`,
-# `msampctl query`) emit byte-identical tables over every copy.
+# Dataset and read-path determinism: v6 bytes identical across
+# MSAMP_THREADS and to 2- and 3-way `msampctl fleet --shard I/N` runs
+# (different thread counts per shard) merged back, and the mapped readers
+# (`msampctl report`, `msampctl query`) emit byte-identical tables over
+# every copy.
 scripts/check_view_determinism.sh build
 
 # SIMD determinism: every ISA path this host can run (MSAMP_SIMD=scalar/

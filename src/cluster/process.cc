@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -54,6 +55,7 @@ bool ChildProcess::spawn(const std::vector<std::string>& argv,
   // the worker's next heartbeat must raise SIGPIPE.
   int fds[2];
   if (::pipe2(fds, O_CLOEXEC) != 0) return fail("pipe");
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -66,7 +68,12 @@ bool ChildProcess::spawn(const std::vector<std::string>& argv,
     // inherited it ignored: a worker must die on writing to a dead
     // coordinator.  stdout becomes the heartbeat pipe (dup2 clears
     // close-on-exec); stderr stays shared so worker diagnostics land in
-    // the coordinator's stderr.
+    // the coordinator's stderr.  The kernel SIGKILLs the worker when the
+    // spawning thread dies (PR_SET_PDEATHSIG survives execv), so a worker
+    // that never heartbeats cannot outlive a killed coordinator either; a
+    // parent already gone before prctl took effect is caught by getppid.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);
     ::setpgid(0, 0);
     ::signal(SIGPIPE, SIG_DFL);
     ::dup2(fds[1], STDOUT_FILENO);

@@ -30,8 +30,11 @@ std::string self_exe_path();
 /// parent reads non-blockingly.  Each worker leads its own process group.
 /// The destructor kills and reaps a child that is still running — a
 /// dying coordinator never leaks workers.  A coordinator killed outright
-/// runs no destructor; its workers then die of SIGPIPE on their next
+/// runs no destructor; its workers then die of the parent-death SIGKILL
+/// set before exec (wedged ones included), or of SIGPIPE on their next
 /// heartbeat, since each pipe's only read end was the coordinator's.
+/// The parent-death signal fires when the *spawning thread* exits, so
+/// spawn from a thread that outlives the worker.
 class ChildProcess {
  public:
   ChildProcess() = default;

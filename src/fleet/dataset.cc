@@ -1,93 +1,9 @@
 #include "fleet/dataset.h"
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-
 #include "fleet/dataset_view.h"
 #include "fleet/wire.h"
 
 namespace msamp::fleet {
-
-namespace {
-
-/// Row-wise v4/v5 parse (the pre-v6 deserialize, config codec selected by
-/// `version`).  Validation mirrors what it always did; failures now say
-/// why and where.
-util::Status legacy_deserialize(Dataset& ds,
-                                const std::vector<std::uint8_t>& blob,
-                                std::uint32_t version) {
-  wire::Reader r(blob);
-  r.pos = 8;  // caller already checked magic + version
-  if (!r.get(&ds.fingerprint)) {
-    return util::Status::error("truncated header", {}, 8);
-  }
-  if (!wire::get_config_legacy(r, &ds.config, version)) {
-    return util::Status::error("corrupt serialized FleetConfig", {}, 16);
-  }
-  if (!r.get(&ds.shard.index) || !r.get(&ds.shard.count) ||
-      !ds.shard.valid()) {
-    return util::Status::error("invalid shard header", {},
-                               static_cast<std::int64_t>(r.pos));
-  }
-  if (!r.get(&ds.window_begin) || !r.get(&ds.window_end)) {
-    return util::Status::error("truncated header", {},
-                               static_cast<std::int64_t>(r.pos));
-  }
-  // The shard's window range must be exactly what the canonical balanced
-  // partition assigns it for this config's day.
-  const std::uint64_t total =
-      2ull * static_cast<std::uint64_t>(ds.config.racks_per_region) *
-      static_cast<std::uint64_t>(ds.config.hours);
-  if (ds.window_begin != ds.shard.begin(static_cast<std::size_t>(total)) ||
-      ds.window_end != ds.shard.end(static_cast<std::size_t>(total))) {
-    return util::Status::error(
-        "window range is not the canonical slice for shard " +
-            std::to_string(ds.shard.index) + "/" +
-            std::to_string(ds.shard.count),
-        {}, static_cast<std::int64_t>(r.pos));
-  }
-  if (!wire::get_records(r, &ds.window_counts)) {
-    return util::Status::error("corrupt window-count section", {},
-                               static_cast<std::int64_t>(r.pos));
-  }
-  if (ds.window_counts.size() != ds.window_end - ds.window_begin) {
-    return util::Status::error("window-count section length mismatch", {},
-                               static_cast<std::int64_t>(r.pos));
-  }
-  if (!wire::get_records(r, &ds.racks) ||
-      !wire::get_records(r, &ds.rack_runs) ||
-      !wire::get_records(r, &ds.server_runs) ||
-      !wire::get_records(r, &ds.bursts)) {
-    return util::Status::error("corrupt record section", {},
-                               static_cast<std::int64_t>(r.pos));
-  }
-  // The record vectors must agree with the per-window count table.
-  std::uint64_t n_runs = 0, n_servers = 0, n_bursts = 0;
-  for (const auto& c : ds.window_counts) {
-    n_runs += c.has_run ? 1 : 0;
-    n_servers += c.server_runs;
-    n_bursts += c.bursts;
-  }
-  if (n_runs != ds.rack_runs.size() || n_servers != ds.server_runs.size() ||
-      n_bursts != ds.bursts.size()) {
-    return util::Status::error(
-        "record sections disagree with the window-count table", {},
-        static_cast<std::int64_t>(r.pos));
-  }
-  if (!wire::get_exemplar(r, &ds.low_contention_example) ||
-      !wire::get_exemplar(r, &ds.high_contention_example)) {
-    return util::Status::error("corrupt exemplar section", {},
-                               static_cast<std::int64_t>(r.pos));
-  }
-  if (r.pos != blob.size()) {
-    return util::Status::error("trailing garbage after the exemplars", {},
-                               static_cast<std::int64_t>(r.pos));
-  }
-  return util::Status::ok();
-}
-
-}  // namespace
 
 analysis::RackClass Dataset::class_of(std::uint32_t rack_id) const {
   for (const auto& r : racks) {
@@ -99,72 +15,7 @@ analysis::RackClass Dataset::class_of(std::uint32_t rack_id) const {
 }
 
 std::vector<std::uint8_t> Dataset::serialize() const {
-  wire::SectionCounts counts;
-  counts.windows = window_counts.size();
-  counts.racks = racks.size();
-  counts.rack_runs = rack_runs.size();
-  counts.server_runs = server_runs.size();
-  counts.bursts = bursts.size();
-  counts.exemplar_bytes = wire::exemplar_wire_bytes(low_contention_example) +
-                          wire::exemplar_wire_bytes(high_contention_example);
-  const wire::V6Layout lay = wire::v6_layout(counts);
-
-  wire::Writer w;
-  w.out.reserve(static_cast<std::size_t>(lay.file_bytes));
-  wire::V6Header h;
-  h.fingerprint = fingerprint;
-  h.config = config;
-  h.shard = shard;
-  h.window_begin = window_begin;
-  h.window_end = window_end;
-  h.counts = counts;
-  h.dir = lay.dir;
-  wire::put_header_v6(w, h);
-
-  // Window directory: counts columns, then the running record offsets
-  // (prefix sums over the counts; the first window starts at 0).
-  const auto& wcols = lay.columns[wire::kSecWindows];
-  wire::pad_to(w, wcols[0]);
-  for (const auto& c : window_counts) w.put(c.has_run);
-  wire::pad_to(w, wcols[1]);
-  for (const auto& c : window_counts) w.put(c.server_runs);
-  wire::pad_to(w, wcols[2]);
-  for (const auto& c : window_counts) w.put(c.bursts);
-  wire::pad_to(w, wcols[3]);
-  std::uint64_t off = 0;
-  for (const auto& c : window_counts) {
-    w.put(off);
-    off += c.has_run ? 1 : 0;
-  }
-  wire::pad_to(w, wcols[4]);
-  off = 0;
-  for (const auto& c : window_counts) {
-    w.put(off);
-    off += c.server_runs;
-  }
-  wire::pad_to(w, wcols[5]);
-  off = 0;
-  for (const auto& c : window_counts) {
-    w.put(off);
-    off += c.bursts;
-  }
-
-  const auto put_section = [&w](const auto& records, const auto& cols) {
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-      wire::pad_to(w, cols[c]);
-      for (const auto& rec : records) wire::put_column(w, rec, c);
-    }
-  };
-  put_section(racks, lay.columns[wire::kSecRacks]);
-  put_section(rack_runs, lay.columns[wire::kSecRackRuns]);
-  put_section(server_runs, lay.columns[wire::kSecServerRuns]);
-  put_section(bursts, lay.columns[wire::kSecBursts]);
-
-  wire::pad_to(w, lay.columns[wire::kSecExemplars][0]);
-  wire::put_exemplar(w, low_contention_example);
-  wire::put_exemplar(w, high_contention_example);
-  if (w.out.size() != lay.file_bytes) std::abort();  // layout is the law
-  return std::move(w.out);
+  return wire::encode(*this);
 }
 
 bool Dataset::deserialize(const std::vector<std::uint8_t>& blob) {
@@ -175,78 +26,7 @@ bool Dataset::deserialize(const std::vector<std::uint8_t>& blob) {
 }
 
 util::Status Dataset::save(const std::string& path) const {
-  std::error_code ec;
-  const std::filesystem::path target(path);
-  const auto parent = target.parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  // Write to a sibling temp file first and atomically rename it over the
-  // target, so a crash mid-write can never leave a truncated dataset that
-  // a later run would try (and fail) to parse.
-  std::filesystem::path tmp = target;
-  tmp += ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return util::Status::error("cannot open temp file for writing",
-                                 tmp.string());
-    }
-    const auto blob = serialize();
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-    if (!out) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      return util::Status::error("write failed", tmp.string());
-    }
-  }
-  std::filesystem::rename(tmp, target, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return util::Status::error("rename failed: " + ec.message(), path);
-  }
-  return util::Status::ok();
-}
-
-util::Status Dataset::load(const std::string& path) {
-  // A directory can be opened for reading on Linux, and seeking it yields
-  // either -1 or a bogus huge offset depending on the filesystem — both of
-  // which would drive an absurd buffer allocation below.
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec)) {
-    return util::Status::error("not a regular file", path);
-  }
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return util::Status::error("cannot open for reading", path);
-  const std::streamoff end = in.tellg();
-  if (end < 0) return util::Status::error("cannot determine size", path);
-  const auto size = static_cast<std::size_t>(end);
-  in.seekg(0);
-  std::vector<std::uint8_t> blob(size);
-  in.read(reinterpret_cast<char*>(blob.data()),
-          static_cast<std::streamsize>(size));
-  if (!in) return util::Status::error("read failed", path);
-
-  wire::Reader r(blob);
-  std::uint32_t magic = 0, version = 0;
-  if (!r.get(&magic) || magic != wire::kMagic) {
-    return util::Status::error("not a dataset file (bad magic)", path, 0);
-  }
-  if (!r.get(&version)) {
-    return util::Status::error("truncated header", path, 4);
-  }
-  if (version == wire::kVersion) {
-    return util::Status::error(
-        "v6 columnar dataset; use Dataset::open_mapped (msampctl "
-        "query/report) — the legacy loader only reads v4/v5 files, which "
-        "`msampctl migrate` rewrites to v6",
-        path, 4);
-  }
-  if (version < wire::kLegacyVersionMin ||
-      version > wire::kLegacyVersionMax) {
-    return util::Status::error(
-        "unsupported dataset version " + std::to_string(version), path, 4);
-  }
-  return legacy_deserialize(*this, blob, version).with_path(path);
+  return wire::write_file(path, *this);
 }
 
 }  // namespace msamp::fleet

@@ -444,13 +444,7 @@ Dataset Dataset::from_view(const DatasetView& v) {
   ds.window_end = v.window_end();
   const auto& w = v.windows();
   ds.window_counts.reserve(w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    WindowCounts c;
-    c.has_run = w.has_run[i];
-    c.server_runs = w.server_runs[i];
-    c.bursts = w.bursts[i];
-    ds.window_counts.push_back(c);
-  }
+  for (std::size_t i = 0; i < w.size(); ++i) ds.window_counts.push_back(w[i]);
   ds.racks = v.rack_table();
   ds.rack_runs.reserve(v.rack_runs().size());
   for (std::size_t i = 0; i < v.rack_runs().size(); ++i) {
@@ -467,28 +461,6 @@ Dataset Dataset::from_view(const DatasetView& v) {
   ds.low_contention_example = v.low_contention_example();
   ds.high_contention_example = v.high_contention_example();
   return ds;
-}
-
-util::Status migrate_dataset_file(const std::string& in_path,
-                                  const std::string& out_path) {
-  Dataset ds;
-  if (auto st = ds.load(in_path); !st) return st;
-  if (auto st = ds.save(out_path); !st) return st;
-  // Fingerprint check: the rewritten file must re-open with the stored
-  // fingerprint and counts intact (migration is a re-layout, never a
-  // recompute — v4 fingerprints came from an older hash and must survive).
-  DatasetView check;
-  if (auto st = DatasetView::open(out_path, &check); !st) return st;
-  if (check.fingerprint() != ds.fingerprint ||
-      check.num_windows() != ds.window_counts.size() ||
-      check.rack_runs().size() != ds.rack_runs.size() ||
-      check.server_runs().size() != ds.server_runs.size() ||
-      check.bursts().size() != ds.bursts.size()) {
-    return util::Status::error(
-        "migrated file disagrees with the source (fingerprint or counts)",
-        out_path);
-  }
-  return util::Status::ok();
 }
 
 }  // namespace msamp::fleet

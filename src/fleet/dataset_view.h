@@ -1,10 +1,11 @@
-// Zero-copy, mmap-backed view of a v6 dataset file.
+// Zero-copy, mmap-backed view of a v6 dataset file: the format's one
+// decoder (its one encoder is fleet/wire.h).
 //
-// `Dataset::load` materializes every record into RAM — fine for the
-// scaled-down default day, impossible for the cluster-scale days the
-// orchestrator can now generate (the paper's full experiment is a
-// 2-region x 1000-rack x 24-hour day).  DatasetView instead maps the file
-// read-only and hands out typed `std::span`s directly over the mapping:
+// Materializing every record into RAM is fine for the scaled-down default
+// day and impossible for the cluster-scale days the orchestrator can
+// generate (the paper's full experiment is a 2-region x 1000-rack x
+// 24-hour day).  DatasetView instead maps the file read-only and hands
+// out typed `std::span`s directly over the mapping:
 // the v6 columns are page-aligned and fixed-width, so a span is just
 // (base + column offset, count) — no per-record copies, and RSS is
 // bounded by the pages the kernel keeps resident, not by file size.
@@ -105,6 +106,9 @@ struct WindowDirColumns {
   std::span<const std::uint64_t> burst_off;
 
   std::size_t size() const { return has_run.size(); }
+  WindowCounts operator[](std::size_t i) const {
+    return {has_run[i], server_runs[i], bursts[i]};
+  }
 };
 
 /// The canonical identity of one window: hour-major, rack-minor, racks
@@ -185,6 +189,8 @@ class DatasetView {
   std::vector<RackInfo> rack_table() const;
 
   const std::string& path() const { return path_; }
+  /// The validated file bytes (what the merge copies columns from).
+  const std::uint8_t* data() const { return data_; }
   std::size_t mapped_bytes() const { return size_; }
 
  private:
@@ -210,12 +216,5 @@ class DatasetView {
   ExemplarRun high_;
   std::string path_;
 };
-
-/// Rewrites a legacy v4/v5 file (read via `Dataset::load`) as v6 at
-/// `out_path`, preserving the stored fingerprint, then re-opens the result
-/// and checks fingerprint and counts.  `msampctl migrate` is a thin shell
-/// around this.
-util::Status migrate_dataset_file(const std::string& in_path,
-                                  const std::string& out_path);
 
 }  // namespace msamp::fleet

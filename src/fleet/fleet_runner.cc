@@ -376,20 +376,6 @@ const DatasetView& shared_view(const FleetConfig& config,
   return *cached;
 }
 
-const Dataset& shared_dataset(const FleetConfig& config,
-                              const std::string& cache_path) {
-  static std::mutex mu;
-  static std::unique_ptr<Dataset> cached;
-  std::lock_guard<std::mutex> lock(mu);
-  if (cached && cached->fingerprint == config.fingerprint()) return *cached;
-  DatasetView view;
-  if (auto st = ensure_cache_file(config, cache_path, &view); !st) {
-    throw std::runtime_error("shared_dataset: " + st.to_string());
-  }
-  cached = std::make_unique<Dataset>(Dataset::from_view(view));
-  return *cached;
-}
-
 std::uint64_t model_version() noexcept { return kModelVersion; }
 
 }  // namespace msamp::fleet

@@ -1,13 +1,8 @@
 #include "fleet/merge.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <utility>
 
 #include "fleet/dataset_view.h"
 #include "fleet/shard.h"
@@ -15,11 +10,6 @@
 
 namespace msamp::fleet {
 namespace {
-
-// Flush threshold for the buffered column writes; the merge's peak heap is
-// a couple of these plus the count and rack-run tables (the shard record
-// bytes stay behind read-only mappings).
-constexpr std::size_t kWriteChunk = std::size_t{1} << 20;
 
 bool same_rack_info(const RackInfo& a, const RackInfo& b) {
   // Classification fields are intentionally excluded: shards leave them
@@ -29,45 +19,6 @@ bool same_rack_info(const RackInfo& a, const RackInfo& b) {
          a.ml_dense == b.ml_dense && a.distinct_tasks == b.distinct_tasks &&
          a.dominant_share == b.dominant_share && a.intensity == b.intensity;
 }
-
-/// Buffered writer onto an ofstream that tracks the absolute position so
-/// columns land exactly where the layout says.
-struct StreamOut {
-  std::ofstream& out;
-  std::uint64_t pos = 0;
-  wire::Writer buf;
-
-  bool flush() {
-    if (!buf.out.empty()) {
-      out.write(reinterpret_cast<const char*>(buf.out.data()),
-                static_cast<std::streamsize>(buf.out.size()));
-      pos += buf.out.size();
-      buf.out.clear();
-    }
-    return static_cast<bool>(out);
-  }
-  bool flush_if_full() {
-    return buf.out.size() < kWriteChunk ? static_cast<bool>(out) : flush();
-  }
-  bool pad_to(std::uint64_t target) {
-    if (!flush()) return false;
-    static constexpr char kZeros[4096] = {};
-    while (pos < target) {
-      const auto n = static_cast<std::streamsize>(
-          std::min<std::uint64_t>(target - pos, sizeof(kZeros)));
-      if (!out.write(kZeros, n)) return false;
-      pos += static_cast<std::uint64_t>(n);
-    }
-    return true;
-  }
-  bool write_raw(const void* data, std::size_t bytes) {
-    if (!flush()) return false;
-    out.write(static_cast<const char*>(data),
-              static_cast<std::streamsize>(bytes));
-    pos += bytes;
-    return static_cast<bool>(out);
-  }
-};
 
 }  // namespace
 
@@ -139,10 +90,11 @@ util::Status merge_shards(const std::vector<std::string>& paths,
     n_bursts += s.bursts().size();
   }
 
-  // Head of the merged day: the rack runs are bounded by one per window,
-  // so folding them in memory keeps the streamed merge's footprint at a
-  // few dozen bytes per window while letting classification run exactly
-  // as it does in DatasetBuilder::take.
+  // Head of the merged day: the count table and the rack runs (at most
+  // one per window) fold in memory, so classification runs exactly as it
+  // does in DatasetBuilder::take.  Shards are canonical-order slices, so
+  // the first shard holding an exemplar holds the globally first
+  // qualifying window.
   Dataset head;
   head.fingerprint = first.fingerprint();
   head.config = first.config();
@@ -150,176 +102,28 @@ util::Status merge_shards(const std::vector<std::string>& paths,
   head.window_begin = 0;
   head.window_end = total;
   head.racks = first_racks;
+  head.window_counts.reserve(static_cast<std::size_t>(total));
   head.rack_runs.reserve(static_cast<std::size_t>(n_runs));
   for (const DatasetView& s : shards) {
+    for (std::size_t i = 0; i < s.num_windows(); ++i) {
+      head.window_counts.push_back(s.windows()[i]);
+    }
     for (std::size_t i = 0; i < s.rack_runs().size(); ++i) {
       head.rack_runs.push_back(s.rack_runs()[i]);
+    }
+    if (head.low_contention_example.num_samples == 0 &&
+        s.low_contention_example().num_samples != 0) {
+      head.low_contention_example = s.low_contention_example();
+    }
+    if (head.high_contention_example.num_samples == 0 &&
+        s.high_contention_example().num_samples != 0) {
+      head.high_contention_example = s.high_contention_example();
     }
   }
   finalize_classification(head);
 
-  // Shards are canonical-order slices, so the first shard holding an
-  // exemplar holds the globally first qualifying window.
-  const ExemplarRun* low = nullptr;
-  const ExemplarRun* high = nullptr;
-  for (const DatasetView& s : shards) {
-    if (low == nullptr && s.low_contention_example().num_samples != 0) {
-      low = &s.low_contention_example();
-    }
-    if (high == nullptr && s.high_contention_example().num_samples != 0) {
-      high = &s.high_contention_example();
-    }
-  }
-  static const ExemplarRun kEmptyExemplar{};
-  if (low == nullptr) low = &kEmptyExemplar;
-  if (high == nullptr) high = &kEmptyExemplar;
-
-  wire::SectionCounts counts;
-  counts.windows = total;
-  counts.racks = head.racks.size();
-  counts.rack_runs = n_runs;
-  counts.server_runs = n_servers;
-  counts.bursts = n_bursts;
-  counts.exemplar_bytes =
-      wire::exemplar_wire_bytes(*low) + wire::exemplar_wire_bytes(*high);
-  const wire::V6Layout lay = wire::v6_layout(counts);
-
-  std::error_code ec;
-  const std::filesystem::path target(out_path);
-  const auto parent = target.parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::filesystem::path tmp = target;
-  tmp += ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      return util::Status::error("cannot open temp file for writing",
-                                 tmp.string());
-    }
-    StreamOut out{file, 0, wire::Writer{}};
-
-    bool ok = true;
-    {
-      wire::V6Header h;
-      h.fingerprint = head.fingerprint;
-      h.config = head.config;
-      h.shard = head.shard;
-      h.window_begin = 0;
-      h.window_end = total;
-      h.counts = counts;
-      h.dir = lay.dir;
-      wire::put_header_v6(out.buf, h);
-      ok = out.flush();
-    }
-
-    // Window directory: the count columns concatenate across shards
-    // verbatim; the running record offsets are recomputed globally (a
-    // shard's own offsets are shard-local and must not leak into the
-    // merged file).
-    const auto& wcols = lay.columns[wire::kSecWindows];
-    const auto concat_spans = [&](std::uint64_t col_off, auto member) {
-      if (!ok) return;
-      ok = out.pad_to(col_off);
-      for (const DatasetView& s : shards) {
-        if (!ok) return;
-        const auto span = (s.windows().*member);
-        ok = out.write_raw(span.data(), span.size_bytes());
-      }
-    };
-    concat_spans(wcols[0], &WindowDirColumns::has_run);
-    concat_spans(wcols[1], &WindowDirColumns::server_runs);
-    concat_spans(wcols[2], &WindowDirColumns::bursts);
-    const auto global_offsets = [&](std::uint64_t col_off, auto counter) {
-      if (!ok) return;
-      ok = out.pad_to(col_off);
-      std::uint64_t off = 0;
-      for (const DatasetView& s : shards) {
-        const auto& w = s.windows();
-        for (std::size_t i = 0; ok && i < w.size(); ++i) {
-          out.buf.put(off);
-          off += counter(w, i);
-          ok = out.flush_if_full();
-        }
-      }
-      if (ok) ok = out.flush();
-    };
-    global_offsets(wcols[3], [](const WindowDirColumns& w, std::size_t i) {
-      return static_cast<std::uint64_t>(w.has_run[i] != 0 ? 1 : 0);
-    });
-    global_offsets(wcols[4], [](const WindowDirColumns& w, std::size_t i) {
-      return static_cast<std::uint64_t>(w.server_runs[i]);
-    });
-    global_offsets(wcols[5], [](const WindowDirColumns& w, std::size_t i) {
-      return static_cast<std::uint64_t>(w.bursts[i]);
-    });
-
-    // Rack table and rack runs: classified/folded in RAM above.
-    const auto put_ram_section = [&](const auto& records, const auto& cols) {
-      for (std::size_t c = 0; ok && c < cols.size(); ++c) {
-        ok = out.pad_to(cols[c]);
-        for (const auto& rec : records) {
-          if (!ok) break;
-          wire::put_column(out.buf, rec, c);
-          ok = out.flush_if_full();
-        }
-        if (ok) ok = out.flush();
-      }
-    };
-    put_ram_section(head.racks, lay.columns[wire::kSecRacks]);
-    put_ram_section(head.rack_runs, lay.columns[wire::kSecRackRuns]);
-
-    // The bulky sections: each merged column is the concatenation of the
-    // shards' columns, copied straight from the mappings.
-    const auto concat_record_col = [&](std::uint64_t col_off, auto span_of) {
-      if (!ok) return;
-      ok = out.pad_to(col_off);
-      for (const DatasetView& s : shards) {
-        if (!ok) return;
-        const auto span = span_of(s);
-        ok = out.write_raw(span.data(), span.size_bytes());
-      }
-    };
-    const auto& scols = lay.columns[wire::kSecServerRuns];
-    concat_record_col(scols[0], [](const DatasetView& s) { return s.server_runs().rack_id; });
-    concat_record_col(scols[1], [](const DatasetView& s) { return s.server_runs().region; });
-    concat_record_col(scols[2], [](const DatasetView& s) { return s.server_runs().hour; });
-    concat_record_col(scols[3], [](const DatasetView& s) { return s.server_runs().bursty; });
-    concat_record_col(scols[4], [](const DatasetView& s) { return s.server_runs().avg_util; });
-    concat_record_col(scols[5], [](const DatasetView& s) { return s.server_runs().util_inside; });
-    concat_record_col(scols[6], [](const DatasetView& s) { return s.server_runs().util_outside; });
-    concat_record_col(scols[7], [](const DatasetView& s) { return s.server_runs().bursts_per_sec; });
-    concat_record_col(scols[8], [](const DatasetView& s) { return s.server_runs().conns_inside; });
-    concat_record_col(scols[9], [](const DatasetView& s) { return s.server_runs().conns_outside; });
-    const auto& bcols = lay.columns[wire::kSecBursts];
-    concat_record_col(bcols[0], [](const DatasetView& s) { return s.bursts().rack_id; });
-    concat_record_col(bcols[1], [](const DatasetView& s) { return s.bursts().region; });
-    concat_record_col(bcols[2], [](const DatasetView& s) { return s.bursts().hour; });
-    concat_record_col(bcols[3], [](const DatasetView& s) { return s.bursts().len_ms; });
-    concat_record_col(bcols[4], [](const DatasetView& s) { return s.bursts().volume_bytes; });
-    concat_record_col(bcols[5], [](const DatasetView& s) { return s.bursts().max_contention; });
-    concat_record_col(bcols[6], [](const DatasetView& s) { return s.bursts().avg_conns; });
-    concat_record_col(bcols[7], [](const DatasetView& s) { return s.bursts().contended; });
-    concat_record_col(bcols[8], [](const DatasetView& s) { return s.bursts().lossy; });
-
-    if (ok) {
-      ok = out.pad_to(lay.columns[wire::kSecExemplars][0]);
-      wire::put_exemplar(out.buf, *low);
-      wire::put_exemplar(out.buf, *high);
-      if (ok) ok = out.flush();
-    }
-    if (ok && out.pos != lay.file_bytes) ok = false;  // layout is the law
-    if (!ok) {
-      file.close();
-      std::filesystem::remove(tmp, ec);
-      return util::Status::error("cannot write", tmp.string());
-    }
-  }
-  std::filesystem::rename(tmp, target, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return util::Status::error(
-        "cannot rename " + tmp.string() + ": " + ec.message(), out_path);
-  }
+  wire::ShardColumns bulk(shards);
+  if (auto st = wire::write_file(out_path, head, bulk); !st) return st;
   if (stats != nullptr) {
     stats->fingerprint = first.fingerprint();
     stats->shards = count;
@@ -327,63 +131,10 @@ util::Status merge_shards(const std::vector<std::string>& paths,
     stats->rack_runs = n_runs;
     stats->server_runs = n_servers;
     stats->bursts = n_bursts;
-    stats->bytes_written = std::filesystem::file_size(target, ec);
+    std::error_code ec;
+    stats->bytes_written = std::filesystem::file_size(out_path, ec);
   }
   return util::Status::ok();
-}
-
-std::optional<Dataset> merge_datasets(std::vector<Dataset> shards,
-                                      std::string* error) {
-  const auto fail = [&](std::string msg) -> std::optional<Dataset> {
-    if (error != nullptr) *error = std::move(msg);
-    return std::nullopt;
-  };
-  if (shards.empty()) return fail("no shards to merge");
-
-  // Spill the shards to a scratch directory and stream them back together
-  // — one validation and fold path for both the in-memory and the file
-  // API.  The counter keeps concurrent merges in one process apart.
-  static std::atomic<std::uint64_t> scratch_counter{0};
-  std::error_code ec;
-  const auto scratch =
-      std::filesystem::temp_directory_path(ec) /
-      ("msamp-merge-" + std::to_string(static_cast<long>(::getpid())) + "-" +
-       std::to_string(scratch_counter.fetch_add(1)));
-  if (ec) return fail("cannot locate a scratch directory: " + ec.message());
-  std::filesystem::create_directories(scratch, ec);
-  if (ec) {
-    return fail("cannot create scratch directory " + scratch.string() + ": " +
-                ec.message());
-  }
-  std::vector<std::string> paths;
-  paths.reserve(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    auto path = (scratch / ("shard-" + std::to_string(i) + ".bin")).string();
-    const auto saved = shards[i].save(path);
-    // Release each shard's records as soon as they hit disk, so peak
-    // memory stays one shard plus the merged day, never two days.
-    shards[i] = Dataset{};
-    if (!saved) {
-      std::filesystem::remove_all(scratch, ec);
-      return fail(saved.to_string());
-    }
-    paths.push_back(std::move(path));
-  }
-  const auto merged_path = (scratch / "merged.bin").string();
-  if (auto st = merge_shards(paths, merged_path); !st) {
-    std::filesystem::remove_all(scratch, ec);
-    return fail(st.to_string());
-  }
-  std::optional<Dataset> out;
-  {
-    DatasetView merged;
-    const auto opened = Dataset::open_mapped(merged_path, &merged);
-    if (opened) out = Dataset::from_view(merged);
-    // the view unmaps before the scratch files go away
-  }
-  std::filesystem::remove_all(scratch, ec);
-  if (!out.has_value()) return fail("cannot open merged dataset " + merged_path);
-  return out;
 }
 
 }  // namespace msamp::fleet

@@ -41,52 +41,62 @@ std::vector<RackInfo> dataset_rack_table(const FleetConfig& config) {
   return out;
 }
 
-DatasetBuilder::DatasetBuilder(const FleetConfig& config, ShardSpec shard) {
+Dataset shard_head(const FleetConfig& config, ShardSpec shard) {
   if (!shard.valid()) {
     throw std::invalid_argument("invalid shard spec " +
                                 std::to_string(shard.index) + "/" +
                                 std::to_string(shard.count));
   }
-  ds_.config = config;
-  ds_.fingerprint = config.fingerprint();
-  ds_.shard = shard;
-  ds_.racks = dataset_rack_table(config);
-
+  Dataset ds;
+  ds.config = config;
+  ds.fingerprint = config.fingerprint();
+  ds.shard = shard;
+  ds.racks = dataset_rack_table(config);
   const std::size_t total =
-      ds_.racks.size() * static_cast<std::size_t>(config.hours);
-  ds_.window_begin = shard.begin(total);
-  ds_.window_end = shard.end(total);
+      ds.racks.size() * static_cast<std::size_t>(config.hours);
+  ds.window_begin = shard.begin(total);
+  ds.window_end = shard.end(total);
   const std::size_t windows =
-      static_cast<std::size_t>(ds_.window_end - ds_.window_begin);
-  ds_.window_counts.reserve(windows);
-  ds_.rack_runs.reserve(windows);
-  ds_.server_runs.reserve(windows *
-                          static_cast<std::size_t>(config.servers_per_rack));
+      static_cast<std::size_t>(ds.window_end - ds.window_begin);
+  ds.window_counts.reserve(windows);
+  ds.rack_runs.reserve(windows);
+  return ds;
 }
 
-void DatasetBuilder::on_window(std::size_t window, WindowRecords&& records) {
-  const std::size_t expected = ds_.window_begin + ds_.window_counts.size();
-  if (window != expected || window >= ds_.window_end) {
-    throw std::logic_error("DatasetBuilder: window " + std::to_string(window) +
+void add_window(Dataset& ds, std::size_t window, WindowRecords& records) {
+  const std::size_t expected = ds.window_begin + ds.window_counts.size();
+  if (window != expected || window >= ds.window_end) {
+    throw std::logic_error("window " + std::to_string(window) +
                            " out of order (expected " +
                            std::to_string(expected) + ")");
   }
-  ds_.window_counts.push_back(records.counts());
-  if (records.has_run) ds_.rack_runs.push_back(records.rack_run);
+  ds.window_counts.push_back(records.counts());
+  if (records.has_run) ds.rack_runs.push_back(records.rack_run);
+  // First qualifying window in canonical order wins, exactly as in a
+  // serial hour-by-hour, rack-by-rack sweep.
+  if ((records.exemplar_kind & kLowExemplar) != 0 &&
+      ds.low_contention_example.num_samples == 0) {
+    ds.low_contention_example = records.exemplar;
+  }
+  if ((records.exemplar_kind & kHighExemplar) != 0 &&
+      ds.high_contention_example.num_samples == 0) {
+    ds.high_contention_example = std::move(records.exemplar);
+  }
+}
+
+DatasetBuilder::DatasetBuilder(const FleetConfig& config, ShardSpec shard)
+    : ds_(shard_head(config, shard)) {
+  ds_.server_runs.reserve(
+      static_cast<std::size_t>(ds_.window_end - ds_.window_begin) *
+      static_cast<std::size_t>(config.servers_per_rack));
+}
+
+void DatasetBuilder::on_window(std::size_t window, WindowRecords&& records) {
+  add_window(ds_, window, records);
   ds_.server_runs.insert(ds_.server_runs.end(), records.server_runs.begin(),
                          records.server_runs.end());
   ds_.bursts.insert(ds_.bursts.end(), records.bursts.begin(),
                     records.bursts.end());
-  // First qualifying window in canonical order wins, exactly as in a
-  // serial hour-by-hour, rack-by-rack sweep.
-  if ((records.exemplar_kind & kLowExemplar) != 0 &&
-      ds_.low_contention_example.num_samples == 0) {
-    ds_.low_contention_example = records.exemplar;
-  }
-  if ((records.exemplar_kind & kHighExemplar) != 0 &&
-      ds_.high_contention_example.num_samples == 0) {
-    ds_.high_contention_example = std::move(records.exemplar);
-  }
 }
 
 Dataset DatasetBuilder::take() {

@@ -10,9 +10,10 @@
 // fold incrementally) without ever holding the whole day in RAM.
 //
 // DatasetBuilder is the standard in-memory sink: it accumulates one
-// shard's records into a `Dataset` whose shard header `merge_datasets`
+// shard's records into a `Dataset` whose shard header `merge_shards`
 // (fleet/merge.h) later validates and folds — byte-identical to a
-// single-process run.
+// single-process run.  SpillSink (fleet/spill_sink.h) is the disk-backed
+// one; both build the same head through `shard_head` and `add_window`.
 #pragma once
 
 #include <cstddef>
@@ -74,10 +75,22 @@ std::vector<workload::RackMeta> fleet_racks(const FleetConfig& config);
 /// the identical table, which `merge_shards` validates.
 std::vector<RackInfo> dataset_rack_table(const FleetConfig& config);
 
+/// A shard's Dataset before its first window: fingerprint, config, shard
+/// header, window range and the rack table, no records.  Throws
+/// std::invalid_argument on an invalid shard.
+Dataset shard_head(const FleetConfig& config, ShardSpec shard);
+
+/// Appends what one window adds to a shard's head: its count entry, its
+/// rack run, and its exemplar if it is the first qualifying one in
+/// canonical order (moved out of `records`).  Server runs and bursts are
+/// left to the caller, which keeps them in RAM or spills them.  Throws
+/// std::logic_error unless `window` is the next window of the range.
+void add_window(Dataset& ds, std::size_t window, WindowRecords& records);
+
 /// Sink that assembles one shard's stream into a `Dataset` with a filled
 /// shard header.  For the full-range shard, `take()` also runs the
 /// busy-hour classification, matching the historic `run_fleet` output;
-/// partial shards leave classification to `merge_datasets`.
+/// partial shards leave classification to `merge_shards`.
 class DatasetBuilder final : public WindowSink {
  public:
   explicit DatasetBuilder(const FleetConfig& config, ShardSpec shard = {});
@@ -96,8 +109,9 @@ class DatasetBuilder final : public WindowSink {
 /// Recomputes every rack's busy-hour average contention and measured
 /// class from `ds.rack_runs` (§7.1 bimodal split), using
 /// `ds.config.classify`.  Requires full-day coverage to be meaningful;
-/// both the full-range DatasetBuilder and `merge_datasets` call it, which
-/// is what keeps merged bytes identical to a single-process run.
+/// the full-range DatasetBuilder and SpillSink and `merge_shards` call
+/// it, which is what keeps merged bytes identical to a single-process
+/// run.
 void finalize_classification(Dataset& ds);
 
 }  // namespace msamp::fleet

@@ -1,24 +1,22 @@
 // SpillSink: the disk-backed WindowSink.  DatasetBuilder (fleet/shard.h)
 // accumulates a whole shard's records in RAM before `Dataset::save`
 // writes them out; SpillSink instead streams each completed window's
-// records to per-COLUMN spill files as `run_fleet` hands them over (one
-// spill per v6 column, so the final assembly is pure file concatenation),
-// keeping a generation process's peak RSS at a few spill-chunk buffers
-// plus the per-window count table and at most two exemplars — never the
-// shard's records.  `finalize()` assembles the spills into a v6 dataset
-// file byte-identical to `DatasetBuilder` + `Dataset::save` (both paths
-// share the fleet/wire.h layout arithmetic, so this is structural, and
-// tests/test_spill_sink.cc proves it with a byte compare), written via
-// the same atomic-rename discipline: a crashed or killed process never
-// leaves a partial output file, only spill temps that the next attempt
-// truncates — which is what makes cluster worker retries idempotent.
+// server runs and bursts to per-COLUMN spill files as `run_fleet` hands
+// them over (wire::ColumnSpill), keeping a generation process's peak RSS
+// at a few spill-chunk buffers plus the shard's head: the per-window count
+// table, the rack runs (at most one per window) and at most two
+// exemplars — never the shard's bulky records.  `finalize()` hands the
+// head and the spills to the format's one encoder (fleet/wire.h), so the
+// file is byte-identical to `DatasetBuilder` + `Dataset::save` by
+// construction (tests/test_spill_sink.cc still byte-compares them), and
+// is written via the same atomic rename: a crashed or killed process
+// never leaves a partial output file, only spill temps that the next
+// attempt truncates — which is what makes cluster worker retries
+// idempotent.
 #pragma once
 
 #include <cstddef>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "fleet/shard.h"
 #include "fleet/wire.h"
@@ -30,7 +28,8 @@ class SpillSink final : public WindowSink {
  public:
   /// Total spill-buffer flush budget: bounds the sum of the in-RAM
   /// per-column buffers and the copy buffer `finalize()` streams the
-  /// spill files through.
+  /// spill files through (the encoder's own output buffer is a fixed
+  /// wire::ColumnOut::kChunkBytes).
   static constexpr std::size_t kDefaultChunkBytes = std::size_t{1} << 20;
 
   /// Streams `shard`'s windows toward `out_path`.  Spill temps live next
@@ -41,9 +40,6 @@ class SpillSink final : public WindowSink {
   SpillSink(const FleetConfig& config, ShardSpec shard, std::string out_path,
             std::size_t chunk_bytes = kDefaultChunkBytes);
 
-  /// Removes the spill temps (never a finished output file).
-  ~SpillSink() override;
-
   SpillSink(const SpillSink&) = delete;
   SpillSink& operator=(const SpillSink&) = delete;
 
@@ -51,46 +47,18 @@ class SpillSink final : public WindowSink {
   /// guarantees this); anything else throws std::logic_error.
   void on_window(std::size_t window, WindowRecords&& records) override;
 
-  /// Assembles header + spill files into `out_path` via atomic rename and
-  /// deletes the temps.  Call once, after `run_fleet` completed the whole
-  /// shard range (else std::logic_error).  Returns an error Status (with
-  /// path and reason) on I/O failure.
+  /// Writes the v6 file to `out_path` via atomic rename and deletes the
+  /// spill temps.  Call once, after `run_fleet` completed the whole shard
+  /// range (else std::logic_error).  Returns an error Status (with path
+  /// and reason) on I/O failure.
   util::Status finalize();
 
   const std::string& out_path() const { return out_; }
 
  private:
-  struct Spill {
-    std::filesystem::path path;
-    std::ofstream file;
-    wire::Writer buf;
-  };
-
-  /// One spill file per column of one v6 record section.
-  struct SectionSpills {
-    std::vector<Spill> cols;
-    std::uint64_t records = 0;
-  };
-
-  void open_section(SectionSpills& s, const char* name, std::size_t n_cols);
-  void flush(Spill& s);
-  void flush_full_buffers();
-
-  FleetConfig config_;
-  ShardSpec shard_;
   std::string out_;
-  std::size_t chunk_bytes_;
-  std::size_t col_chunk_bytes_;
-  std::uint64_t fingerprint_ = 0;
-  std::uint64_t window_begin_ = 0;
-  std::uint64_t window_end_ = 0;
-  std::vector<WindowCounts> counts_;
-  std::vector<RackInfo> racks_;
-  ExemplarRun low_exemplar_;
-  ExemplarRun high_exemplar_;
-  SectionSpills runs_;
-  SectionSpills servers_;
-  SectionSpills bursts_;
+  Dataset head_;  ///< everything but the server runs and bursts
+  wire::ColumnSpill spill_;
   bool finalized_ = false;
 };
 

@@ -1,106 +1,18 @@
 #include "fleet/wire.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace msamp::fleet::wire {
-
-void pad_to(Writer& w, std::uint64_t abs_offset) {
-  // Writers lay columns out strictly forward; a backward pad means the
-  // layout arithmetic and the writer disagree, which must never ship.
-  if (w.out.size() > abs_offset) std::abort();
-  w.out.resize(static_cast<std::size_t>(abs_offset));  // zero-filled
-}
-
-void put_record(Writer& w, const WindowCounts& c) {
-  w.put(c.has_run);
-  w.put(c.server_runs);
-  w.put(c.bursts);
-}
-bool get_record(Reader& r, WindowCounts* c) {
-  return r.get(&c->has_run) && r.get(&c->server_runs) && r.get(&c->bursts);
-}
-
-void put_record(Writer& w, const RackInfo& v) {
-  w.put(v.rack_id);
-  w.put(v.region);
-  w.put(v.ml_dense);
-  w.put(v.distinct_tasks);
-  w.put(v.dominant_share);
-  w.put(v.intensity);
-  w.put(v.busy_hour_avg_contention);
-  w.put(v.rack_class);
-}
-bool get_record(Reader& r, RackInfo* v) {
-  return r.get(&v->rack_id) && r.get(&v->region) && r.get(&v->ml_dense) &&
-         r.get(&v->distinct_tasks) && r.get(&v->dominant_share) &&
-         r.get(&v->intensity) && r.get(&v->busy_hour_avg_contention) &&
-         r.get(&v->rack_class);
-}
-
-void put_record(Writer& w, const RackRunRecord& v) {
-  w.put(v.rack_id);
-  w.put(v.region);
-  w.put(v.hour);
-  w.put(v.usable);
-  w.put(v.avg_contention);
-  w.put(v.min_active_contention);
-  w.put(v.p90_contention);
-  w.put(v.max_contention);
-  w.put(v.in_bytes);
-  w.put(v.drop_bytes);
-  w.put(v.ecn_bytes);
-}
-bool get_record(Reader& r, RackRunRecord* v) {
-  return r.get(&v->rack_id) && r.get(&v->region) && r.get(&v->hour) &&
-         r.get(&v->usable) && r.get(&v->avg_contention) &&
-         r.get(&v->min_active_contention) && r.get(&v->p90_contention) &&
-         r.get(&v->max_contention) && r.get(&v->in_bytes) &&
-         r.get(&v->drop_bytes) && r.get(&v->ecn_bytes);
-}
-
-void put_record(Writer& w, const ServerRunRecord& v) {
-  w.put(v.rack_id);
-  w.put(v.region);
-  w.put(v.hour);
-  w.put(v.bursty);
-  w.put(v.avg_util);
-  w.put(v.util_inside);
-  w.put(v.util_outside);
-  w.put(v.bursts_per_sec);
-  w.put(v.conns_inside);
-  w.put(v.conns_outside);
-}
-bool get_record(Reader& r, ServerRunRecord* v) {
-  return r.get(&v->rack_id) && r.get(&v->region) && r.get(&v->hour) &&
-         r.get(&v->bursty) && r.get(&v->avg_util) && r.get(&v->util_inside) &&
-         r.get(&v->util_outside) && r.get(&v->bursts_per_sec) &&
-         r.get(&v->conns_inside) && r.get(&v->conns_outside);
-}
-
-void put_record(Writer& w, const BurstRecord& v) {
-  w.put(v.rack_id);
-  w.put(v.region);
-  w.put(v.hour);
-  w.put(v.len_ms);
-  w.put(v.volume_bytes);
-  w.put(v.max_contention);
-  w.put(v.avg_conns);
-  w.put(v.contended);
-  w.put(v.lossy);
-}
-bool get_record(Reader& r, BurstRecord* v) {
-  return r.get(&v->rack_id) && r.get(&v->region) && r.get(&v->hour) &&
-         r.get(&v->len_ms) && r.get(&v->volume_bytes) &&
-         r.get(&v->max_contention) && r.get(&v->avg_conns) &&
-         r.get(&v->contended) && r.get(&v->lossy);
-}
+namespace {
 
 // --- columnar field appenders ------------------------------------------
-// Column order must match the width tables in wire.h and the field order
-// of the row codecs above (the v6 layout is a pure re-layout of the same
-// field bytes).
+// Column order must match the width tables in wire.h and the column spans
+// DatasetView hands out.  `Out` is a Writer (spill buffers) or ColumnOut.
 
-void put_column(Writer& w, const RackInfo& v, std::size_t col) {
+template <typename Out>
+void put_column(Out& w, const RackInfo& v, std::size_t col) {
   switch (col) {
     case 0: w.put(v.rack_id); return;
     case 1: w.put(v.region); return;
@@ -114,7 +26,8 @@ void put_column(Writer& w, const RackInfo& v, std::size_t col) {
   }
 }
 
-void put_column(Writer& w, const RackRunRecord& v, std::size_t col) {
+template <typename Out>
+void put_column(Out& w, const RackRunRecord& v, std::size_t col) {
   switch (col) {
     case 0: w.put(v.rack_id); return;
     case 1: w.put(v.region); return;
@@ -131,7 +44,8 @@ void put_column(Writer& w, const RackRunRecord& v, std::size_t col) {
   }
 }
 
-void put_column(Writer& w, const ServerRunRecord& v, std::size_t col) {
+template <typename Out>
+void put_column(Out& w, const ServerRunRecord& v, std::size_t col) {
   switch (col) {
     case 0: w.put(v.rack_id); return;
     case 1: w.put(v.region); return;
@@ -147,7 +61,8 @@ void put_column(Writer& w, const ServerRunRecord& v, std::size_t col) {
   }
 }
 
-void put_column(Writer& w, const BurstRecord& v, std::size_t col) {
+template <typename Out>
+void put_column(Out& w, const BurstRecord& v, std::size_t col) {
   switch (col) {
     case 0: w.put(v.rack_id); return;
     case 1: w.put(v.region); return;
@@ -162,105 +77,6 @@ void put_column(Writer& w, const BurstRecord& v, std::size_t col) {
   }
 }
 
-// --- config / exemplar codecs ------------------------------------------
-
-void put_config_legacy(Writer& w, const FleetConfig& c,
-                       std::uint32_t version) {
-  w.put(c.seed);
-  w.put(static_cast<std::int32_t>(c.racks_per_region));
-  w.put(static_cast<std::int32_t>(c.servers_per_rack));
-  w.put(static_cast<std::int32_t>(c.hours));
-  w.put(static_cast<std::int32_t>(c.samples_per_run));
-  w.put(static_cast<std::int32_t>(c.warmup_ms));
-  w.put(c.line_rate_gbps);
-  w.put(c.buffer.total_bytes);
-  w.put(static_cast<std::int32_t>(c.buffer.quadrants));
-  w.put(c.buffer.reserve_per_queue);
-  w.put(c.buffer.alpha);
-  w.put(c.buffer.ecn_threshold);
-  w.put(static_cast<std::uint8_t>(c.buffer.policy));
-  w.put(c.buffer.burst_alpha_boost);
-  if (version >= 5) {
-    w.put(c.buffer.delay.target_delay_ms);
-    w.put(c.buffer.delay.min_gain);
-    w.put(c.buffer.delay.max_gain);
-    w.put(c.buffer.delay.drain_gbps);
-  }
-  w.put(c.rtt_ms);
-  w.put(static_cast<std::int64_t>(c.mss));
-  w.put(static_cast<std::uint8_t>(c.fabric.enabled ? 1 : 0));
-  w.put(c.fabric.uplink_gbps);
-  w.put(c.fabric.smoothing);
-  w.put(static_cast<std::int32_t>(c.filter_cpus));
-  w.put(static_cast<std::int64_t>(c.clocks.offset_stddev));
-  w.put(static_cast<std::int64_t>(c.clocks.offset_max));
-  w.put(static_cast<std::int32_t>(c.loss.rtt_shift_samples));
-  w.put(static_cast<std::int32_t>(c.loss.lag_samples));
-  w.put(c.classify.high_threshold);
-}
-
-void put_config(Writer& w, const FleetConfig& c) {
-  put_config_legacy(w, c, kVersion);
-}
-
-bool get_config_legacy(Reader& r, FleetConfig* c, std::uint32_t version) {
-  std::int32_t racks = 0, servers = 0, hours = 0, samples = 0, warmup = 0;
-  std::int32_t quadrants = 0, filter_cpus = 0, rtt_shift = 0, lag = 0;
-  std::uint8_t policy = 0, fabric_enabled = 0;
-  std::int64_t mss = 0, stddev = 0, offmax = 0;
-  if (!(r.get(&c->seed) && r.get(&racks) && r.get(&servers) &&
-        r.get(&hours) && r.get(&samples) && r.get(&warmup) &&
-        r.get(&c->line_rate_gbps) && r.get(&c->buffer.total_bytes) &&
-        r.get(&quadrants) && r.get(&c->buffer.reserve_per_queue) &&
-        r.get(&c->buffer.alpha) && r.get(&c->buffer.ecn_threshold) &&
-        r.get(&policy) && r.get(&c->buffer.burst_alpha_boost))) {
-    return false;
-  }
-  if (version >= 5) {
-    if (!(r.get(&c->buffer.delay.target_delay_ms) &&
-          r.get(&c->buffer.delay.min_gain) &&
-          r.get(&c->buffer.delay.max_gain) &&
-          r.get(&c->buffer.delay.drain_gbps))) {
-      return false;
-    }
-  }
-  if (!(r.get(&c->rtt_ms) && r.get(&mss) && r.get(&fabric_enabled) &&
-        r.get(&c->fabric.uplink_gbps) && r.get(&c->fabric.smoothing) &&
-        r.get(&filter_cpus) && r.get(&stddev) && r.get(&offmax) &&
-        r.get(&rtt_shift) && r.get(&lag) &&
-        r.get(&c->classify.high_threshold))) {
-    return false;
-  }
-  // The scale fields size window ranges and allocations downstream; reject
-  // negatives (and an out-of-range policy byte) as corruption up front.
-  if (racks < 0 || servers < 0 || hours < 0 || samples < 0 || warmup < 0) {
-    return false;
-  }
-  if (policy > static_cast<std::uint8_t>(net::BufferPolicy::kDelayDriven)) {
-    return false;
-  }
-  c->racks_per_region = racks;
-  c->servers_per_rack = servers;
-  c->hours = hours;
-  c->samples_per_run = samples;
-  c->warmup_ms = warmup;
-  c->buffer.quadrants = quadrants;
-  c->buffer.policy = static_cast<net::BufferPolicy>(policy);
-  c->mss = mss;
-  c->fabric.enabled = fabric_enabled != 0;
-  c->filter_cpus = filter_cpus;
-  c->clocks.offset_stddev = stddev;
-  c->clocks.offset_max = offmax;
-  c->loss.rtt_shift_samples = rtt_shift;
-  c->loss.lag_samples = lag;
-  c->threads = 0;  // execution detail; never travels with data
-  return true;
-}
-
-bool get_config(Reader& r, FleetConfig* c) {
-  return get_config_legacy(r, c, kVersion);
-}
-
 void put_exemplar(Writer& w, const ExemplarRun& e) {
   w.put(e.rack_id);
   w.put(e.avg_contention);
@@ -268,31 +84,6 @@ void put_exemplar(Writer& w, const ExemplarRun& e) {
   w.put(e.num_samples);
   w.put_vec(e.raster);
   w.put_vec(e.contention);
-}
-
-bool get_exemplar(Reader& r, ExemplarRun* e) {
-  return r.get(&e->rack_id) && r.get(&e->avg_contention) &&
-         r.get(&e->num_servers) && r.get(&e->num_samples) &&
-         r.get_vec(&e->raster) && r.get_vec(&e->contention);
-}
-
-std::size_t exemplar_wire_bytes(const ExemplarRun& e) {
-  return 4 + 4 + 2 + 2 + 8 + e.raster.size() + 8 + 2 * e.contention.size();
-}
-
-// --- v6 layout ----------------------------------------------------------
-
-std::size_t config_wire_size() {
-  Writer w;
-  put_config(w, FleetConfig{});
-  return w.out.size();
-}
-
-std::size_t header_bytes_v6() {
-  // magic, version, fingerprint, config, shard index/count, window range,
-  // four record-count u64s, section directory.
-  return 4 + 4 + 8 + config_wire_size() + 4 + 4 + 8 + 8 + 4 * 8 +
-         kNumSections * 16;
 }
 
 V6Layout v6_layout(const SectionCounts& counts) {
@@ -348,6 +139,230 @@ void put_header_v6(Writer& w, const V6Header& h) {
   }
 }
 
+const std::size_t* widths_of(Section section) {
+  return section == kSecServerRuns ? kServerRunWidths : kBurstWidths;
+}
+
+/// Writes the columns of an in-RAM record section, each on its page.
+template <typename Record>
+void put_section(ColumnOut& out, const std::vector<Record>& records,
+                 const std::vector<std::uint64_t>& cols) {
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    out.pad_to(cols[c]);
+    for (const auto& rec : records) put_column(out, rec, c);
+  }
+}
+
+/// The server runs and bursts of an owned Dataset.
+class RecordColumns final : public BulkColumns {
+ public:
+  explicit RecordColumns(const Dataset& ds) : ds_(ds) {}
+  std::uint64_t rows(Section section) const override {
+    return section == kSecServerRuns ? ds_.server_runs.size()
+                                     : ds_.bursts.size();
+  }
+  util::Status write(Section section, std::size_t col,
+                     ColumnOut& out) override {
+    if (section == kSecServerRuns) {
+      for (const auto& rec : ds_.server_runs) put_column(out, rec, col);
+    } else {
+      for (const auto& rec : ds_.bursts) put_column(out, rec, col);
+    }
+    return util::Status::ok();
+  }
+
+ private:
+  const Dataset& ds_;
+};
+
+/// The encoder: header, window directory, rack and rack-run sections from
+/// `head`, the bulky sections from `bulk`, then the exemplars.
+util::Status encode_into(ColumnOut& out, const Dataset& head,
+                         BulkColumns& bulk) {
+  Writer exemplars;
+  put_exemplar(exemplars, head.low_contention_example);
+  put_exemplar(exemplars, head.high_contention_example);
+
+  V6Header h;
+  h.fingerprint = head.fingerprint;
+  h.config = head.config;
+  h.shard = head.shard;
+  h.window_begin = head.window_begin;
+  h.window_end = head.window_end;
+  h.counts.windows = head.window_counts.size();
+  h.counts.racks = head.racks.size();
+  h.counts.rack_runs = head.rack_runs.size();
+  h.counts.server_runs = bulk.rows(kSecServerRuns);
+  h.counts.bursts = bulk.rows(kSecBursts);
+  h.counts.exemplar_bytes = exemplars.out.size();
+  const V6Layout lay = v6_layout(h.counts);
+  h.dir = lay.dir;
+  out.reserve(lay.file_bytes);
+  {
+    Writer w;
+    put_header_v6(w, h);
+    out.write(w.out.data(), w.out.size());
+  }
+
+  // Window directory: the count columns, then the running record offsets
+  // (prefix sums over the counts; the first window starts at 0).
+  const auto& wcols = lay.columns[kSecWindows];
+  const auto dir_column = [&](std::size_t c, auto value) {
+    out.pad_to(wcols[c]);
+    for (const WindowCounts& wc : head.window_counts) out.put(value(wc));
+  };
+  const auto offset_column = [&](std::size_t c, auto count) {
+    out.pad_to(wcols[c]);
+    std::uint64_t off = 0;
+    for (const WindowCounts& wc : head.window_counts) {
+      out.put(off);
+      off += count(wc);
+    }
+  };
+  dir_column(0, [](const WindowCounts& c) { return c.has_run; });
+  dir_column(1, [](const WindowCounts& c) { return c.server_runs; });
+  dir_column(2, [](const WindowCounts& c) { return c.bursts; });
+  offset_column(3, [](const WindowCounts& c) {
+    return static_cast<std::uint64_t>(c.has_run != 0 ? 1 : 0);
+  });
+  offset_column(4, [](const WindowCounts& c) {
+    return static_cast<std::uint64_t>(c.server_runs);
+  });
+  offset_column(5, [](const WindowCounts& c) {
+    return static_cast<std::uint64_t>(c.bursts);
+  });
+
+  put_section(out, head.racks, lay.columns[kSecRacks]);
+  put_section(out, head.rack_runs, lay.columns[kSecRackRuns]);
+
+  for (const Section s : {kSecServerRuns, kSecBursts}) {
+    const auto& cols = lay.columns[s];
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      out.pad_to(cols[c]);
+      if (auto st = bulk.write(s, c, out); !st) return st;
+      if (out.pos() != cols[c] + bulk.rows(s) * widths_of(s)[c]) {
+        return util::Status::error(
+            "column " + std::to_string(c) + " of section " +
+                std::to_string(s) + " disagrees with its record count",
+            {}, static_cast<std::int64_t>(cols[c]));
+      }
+    }
+  }
+
+  out.pad_to(lay.columns[kSecExemplars][0]);
+  out.write(exemplars.out.data(), exemplars.out.size());
+  if (!out.flush()) return util::Status::error("write failed");
+  if (out.pos() != lay.file_bytes) {  // layout is the law
+    return util::Status::error("encoded size disagrees with the layout");
+  }
+  return util::Status::ok();
+}
+
+}  // namespace
+
+// --- config / exemplar codecs ------------------------------------------
+
+void put_config(Writer& w, const FleetConfig& c) {
+  w.put(c.seed);
+  w.put(static_cast<std::int32_t>(c.racks_per_region));
+  w.put(static_cast<std::int32_t>(c.servers_per_rack));
+  w.put(static_cast<std::int32_t>(c.hours));
+  w.put(static_cast<std::int32_t>(c.samples_per_run));
+  w.put(static_cast<std::int32_t>(c.warmup_ms));
+  w.put(c.line_rate_gbps);
+  w.put(c.buffer.total_bytes);
+  w.put(static_cast<std::int32_t>(c.buffer.quadrants));
+  w.put(c.buffer.reserve_per_queue);
+  w.put(c.buffer.alpha);
+  w.put(c.buffer.ecn_threshold);
+  w.put(static_cast<std::uint8_t>(c.buffer.policy));
+  w.put(c.buffer.burst_alpha_boost);
+  w.put(c.buffer.delay.target_delay_ms);
+  w.put(c.buffer.delay.min_gain);
+  w.put(c.buffer.delay.max_gain);
+  w.put(c.buffer.delay.drain_gbps);
+  w.put(c.rtt_ms);
+  w.put(static_cast<std::int64_t>(c.mss));
+  w.put(static_cast<std::uint8_t>(c.fabric.enabled ? 1 : 0));
+  w.put(c.fabric.uplink_gbps);
+  w.put(c.fabric.smoothing);
+  w.put(static_cast<std::int32_t>(c.filter_cpus));
+  w.put(static_cast<std::int64_t>(c.clocks.offset_stddev));
+  w.put(static_cast<std::int64_t>(c.clocks.offset_max));
+  w.put(static_cast<std::int32_t>(c.loss.rtt_shift_samples));
+  w.put(static_cast<std::int32_t>(c.loss.lag_samples));
+  w.put(c.classify.high_threshold);
+}
+
+bool get_config(Reader& r, FleetConfig* c) {
+  std::int32_t racks = 0, servers = 0, hours = 0, samples = 0, warmup = 0;
+  std::int32_t quadrants = 0, filter_cpus = 0, rtt_shift = 0, lag = 0;
+  std::uint8_t policy = 0, fabric_enabled = 0;
+  std::int64_t mss = 0, stddev = 0, offmax = 0;
+  if (!(r.get(&c->seed) && r.get(&racks) && r.get(&servers) &&
+        r.get(&hours) && r.get(&samples) && r.get(&warmup) &&
+        r.get(&c->line_rate_gbps) && r.get(&c->buffer.total_bytes) &&
+        r.get(&quadrants) && r.get(&c->buffer.reserve_per_queue) &&
+        r.get(&c->buffer.alpha) && r.get(&c->buffer.ecn_threshold) &&
+        r.get(&policy) && r.get(&c->buffer.burst_alpha_boost) &&
+        r.get(&c->buffer.delay.target_delay_ms) &&
+        r.get(&c->buffer.delay.min_gain) &&
+        r.get(&c->buffer.delay.max_gain) &&
+        r.get(&c->buffer.delay.drain_gbps) && r.get(&c->rtt_ms) &&
+        r.get(&mss) && r.get(&fabric_enabled) &&
+        r.get(&c->fabric.uplink_gbps) && r.get(&c->fabric.smoothing) &&
+        r.get(&filter_cpus) && r.get(&stddev) && r.get(&offmax) &&
+        r.get(&rtt_shift) && r.get(&lag) &&
+        r.get(&c->classify.high_threshold))) {
+    return false;
+  }
+  // The scale fields size window ranges and allocations downstream; reject
+  // negatives (and an out-of-range policy byte) as corruption up front.
+  if (racks < 0 || servers < 0 || hours < 0 || samples < 0 || warmup < 0) {
+    return false;
+  }
+  if (policy > static_cast<std::uint8_t>(net::BufferPolicy::kDelayDriven)) {
+    return false;
+  }
+  c->racks_per_region = racks;
+  c->servers_per_rack = servers;
+  c->hours = hours;
+  c->samples_per_run = samples;
+  c->warmup_ms = warmup;
+  c->buffer.quadrants = quadrants;
+  c->buffer.policy = static_cast<net::BufferPolicy>(policy);
+  c->mss = mss;
+  c->fabric.enabled = fabric_enabled != 0;
+  c->filter_cpus = filter_cpus;
+  c->clocks.offset_stddev = stddev;
+  c->clocks.offset_max = offmax;
+  c->loss.rtt_shift_samples = rtt_shift;
+  c->loss.lag_samples = lag;
+  c->threads = 0;  // execution detail; never travels with data
+  return true;
+}
+
+bool get_exemplar(Reader& r, ExemplarRun* e) {
+  return r.get(&e->rack_id) && r.get(&e->avg_contention) &&
+         r.get(&e->num_servers) && r.get(&e->num_samples) &&
+         r.get_vec(&e->raster) && r.get_vec(&e->contention);
+}
+
+// --- v6 header ----------------------------------------------------------
+
+std::size_t config_wire_size() {
+  Writer w;
+  put_config(w, FleetConfig{});
+  return w.out.size();
+}
+
+std::size_t header_bytes_v6() {
+  // magic, version, fingerprint, config, shard index/count, window range,
+  // four record-count u64s, section directory.
+  return 4 + 4 + 8 + config_wire_size() + 4 + 4 + 8 + 8 + 4 * 8 +
+         kNumSections * 16;
+}
+
 util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
                             std::uint64_t file_size, V6Header* h,
                             V6Layout* layout) {
@@ -364,13 +379,6 @@ util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
     return util::Status::error("not a dataset file (bad magic)", {}, 0);
   }
   if (!r.get(&version)) return util::Status::error("truncated header", {}, 4);
-  if (version >= kLegacyVersionMin && version <= kLegacyVersionMax) {
-    return util::Status::error(
-        "legacy v" + std::to_string(version) +
-            " row-wise dataset; rewrite it with `msampctl migrate` (or read "
-            "it with the legacy Dataset::load)",
-        {}, 4);
-  }
   if (version != kVersion) {
     return util::Status::error(
         "unsupported dataset version " + std::to_string(version), {}, 4);
@@ -463,25 +471,230 @@ util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
   return util::Status::ok();
 }
 
-std::vector<std::uint8_t> legacy_serialize(const Dataset& ds,
-                                           std::uint32_t version) {
-  Writer w;
-  w.put(kMagic);
-  w.put(version);
-  w.put(ds.fingerprint);
-  put_config_legacy(w, ds.config, version);
-  w.put(ds.shard.index);
-  w.put(ds.shard.count);
-  w.put(ds.window_begin);
-  w.put(ds.window_end);
-  put_records(w, ds.window_counts);
-  put_records(w, ds.racks);
-  put_records(w, ds.rack_runs);
-  put_records(w, ds.server_runs);
-  put_records(w, ds.bursts);
-  put_exemplar(w, ds.low_contention_example);
-  put_exemplar(w, ds.high_contention_example);
-  return std::move(w.out);
+// --- ColumnOut ------------------------------------------------------------
+
+ColumnOut::ColumnOut(std::ofstream* file) : file_(file) {
+  if (file_ != nullptr) buf_.out.reserve(kChunkBytes + kSegmentAlign);
+}
+
+void ColumnOut::reserve(std::uint64_t bytes) {
+  if (file_ == nullptr) buf_.out.reserve(static_cast<std::size_t>(bytes));
+}
+
+void ColumnOut::write(const void* data, std::size_t n) {
+  if (n == 0) return;
+  if (file_ == nullptr) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    buf_.out.insert(buf_.out.end(), p, p + n);
+    return;
+  }
+  flush();
+  file_->write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+  flushed_ += n;
+}
+
+void ColumnOut::pad_to(std::uint64_t target) {
+  // Columns are laid out strictly forward; a backward pad means the layout
+  // arithmetic and the encoder disagree, which must never ship.
+  if (pos() > target) std::abort();
+  buf_.out.resize(buf_.out.size() + static_cast<std::size_t>(target - pos()));
+  if (file_ != nullptr && buf_.out.size() >= kChunkBytes) flush();
+}
+
+bool ColumnOut::flush() {
+  if (file_ == nullptr) return true;
+  if (!buf_.out.empty()) {
+    file_->write(reinterpret_cast<const char*>(buf_.out.data()),
+                 static_cast<std::streamsize>(buf_.out.size()));
+    flushed_ += buf_.out.size();
+    buf_.out.clear();
+  }
+  return static_cast<bool>(*file_);
+}
+
+// --- ColumnSpill ----------------------------------------------------------
+
+ColumnSpill::ColumnSpill(const std::string& prefix, std::size_t chunk_bytes)
+    : chunk_bytes_(std::max<std::size_t>(chunk_bytes, 64)),
+      col_chunk_bytes_(std::max<std::size_t>(
+          chunk_bytes_ / (kServerRunCols + kBurstCols), 64)),
+      servers_(kServerRunCols),
+      bursts_(kBurstCols) {
+  std::error_code ec;
+  const auto parent = std::filesystem::path(prefix).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  const auto open = [&](std::vector<Spill>& spills, const char* name) {
+    for (std::size_t c = 0; c < spills.size(); ++c) {
+      Spill& s = spills[c];
+      s.path = prefix + "-" + name + "-c" + std::to_string(c);
+      s.file.open(s.path, std::ios::binary | std::ios::trunc);
+      if (!s.file) {
+        throw std::runtime_error("cannot open spill file " + s.path.string());
+      }
+    }
+  };
+  open(servers_, "servers");
+  open(bursts_, "bursts");
+}
+
+ColumnSpill::~ColumnSpill() { remove(); }
+
+void ColumnSpill::remove() {
+  std::error_code ec;
+  for (auto* spills : {&servers_, &bursts_}) {
+    for (Spill& s : *spills) {
+      if (s.file.is_open()) s.file.close();
+      std::filesystem::remove(s.path, ec);
+    }
+  }
+}
+
+std::vector<ColumnSpill::Spill>& ColumnSpill::spills(Section section) {
+  return section == kSecServerRuns ? servers_ : bursts_;
+}
+
+void ColumnSpill::flush(Spill& s) {
+  if (s.buf.out.empty()) return;
+  s.file.write(reinterpret_cast<const char*>(s.buf.out.data()),
+               static_cast<std::streamsize>(s.buf.out.size()));
+  s.buf.out.clear();
+}
+
+void ColumnSpill::append(const std::vector<ServerRunRecord>& server_runs,
+                         const std::vector<BurstRecord>& bursts) {
+  for (std::size_t c = 0; c < servers_.size(); ++c) {
+    for (const auto& r : server_runs) put_column(servers_[c].buf, r, c);
+    if (servers_[c].buf.out.size() >= col_chunk_bytes_) flush(servers_[c]);
+  }
+  for (std::size_t c = 0; c < bursts_.size(); ++c) {
+    for (const auto& b : bursts) put_column(bursts_[c].buf, b, c);
+    if (bursts_[c].buf.out.size() >= col_chunk_bytes_) flush(bursts_[c]);
+  }
+  server_rows_ += server_runs.size();
+  burst_rows_ += bursts.size();
+}
+
+std::uint64_t ColumnSpill::rows(Section section) const {
+  return section == kSecServerRuns ? server_rows_ : burst_rows_;
+}
+
+util::Status ColumnSpill::write(Section section, std::size_t col,
+                                ColumnOut& out) {
+  Spill& s = spills(section)[col];
+  flush(s);
+  s.file.close();
+  if (s.file.fail()) {
+    return util::Status::error("cannot write spill file", s.path.string());
+  }
+  // Non-throwing file_size: a spill file that vanished (or sits on a flaky
+  // mount) must surface as an error Status, not as a filesystem_error
+  // unwinding through the worker.
+  const std::uint64_t bytes = rows(section) * widths_of(section)[col];
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(s.path, ec);
+  if (ec || size != bytes) {
+    return util::Status::error(
+        "spill file size disagrees with its record count", s.path.string());
+  }
+  std::ifstream in(s.path, std::ios::binary);
+  std::vector<char> buf(static_cast<std::size_t>(
+      std::min<std::uint64_t>(std::max<std::uint64_t>(bytes, 1),
+                              chunk_bytes_)));
+  for (std::uint64_t left = bytes; left > 0;) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(left, buf.size()));
+    if (!in.read(buf.data(), static_cast<std::streamsize>(n))) {
+      return util::Status::error("cannot read spill file", s.path.string());
+    }
+    out.write(buf.data(), n);
+    left -= n;
+  }
+  return util::Status::ok();
+}
+
+// --- ShardColumns ---------------------------------------------------------
+
+ShardColumns::ShardColumns(std::span<const DatasetView> shards)
+    : shards_(shards) {
+  // The exemplar bytes are left out: that section comes after every
+  // record column, so it moves none of the offsets read here.
+  layouts_.reserve(shards.size());
+  for (const DatasetView& s : shards) {
+    SectionCounts counts;
+    counts.windows = s.num_windows();
+    counts.racks = s.racks().size();
+    counts.rack_runs = s.rack_runs().size();
+    counts.server_runs = s.server_runs().size();
+    counts.bursts = s.bursts().size();
+    layouts_.push_back(v6_layout(counts));
+  }
+}
+
+std::uint64_t ShardColumns::rows(Section section) const {
+  std::uint64_t n = 0;
+  for (const DatasetView& s : shards_) {
+    n += section == kSecServerRuns ? s.server_runs().size()
+                                   : s.bursts().size();
+  }
+  return n;
+}
+
+util::Status ShardColumns::write(Section section, std::size_t col,
+                                 ColumnOut& out) {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const DatasetView& s = shards_[i];
+    const std::uint64_t n = section == kSecServerRuns
+                                ? s.server_runs().size()
+                                : s.bursts().size();
+    out.write(s.data() + layouts_[i].columns[section][col],
+              static_cast<std::size_t>(n * widths_of(section)[col]));
+  }
+  return util::Status::ok();
+}
+
+// --- entry points ---------------------------------------------------------
+
+std::vector<std::uint8_t> encode(const Dataset& ds) {
+  ColumnOut out;
+  RecordColumns bulk(ds);
+  // In memory nothing can fail but the layout arithmetic itself.
+  if (!encode_into(out, ds, bulk)) std::abort();
+  return out.take();
+}
+
+util::Status write_file(const std::string& path, const Dataset& ds) {
+  RecordColumns bulk(ds);
+  return write_file(path, ds, bulk);
+}
+
+util::Status write_file(const std::string& path, const Dataset& head,
+                        BulkColumns& bulk) {
+  std::error_code ec;
+  const std::filesystem::path target(path);
+  const auto parent = target.parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  std::filesystem::path tmp = target;
+  tmp += ".tmp";
+  std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+  if (!file) {
+    return util::Status::error("cannot open temp file for writing",
+                               tmp.string());
+  }
+  ColumnOut out(&file);
+  util::Status st = encode_into(out, head, bulk);
+  file.close();
+  if (st && !file) st = util::Status::error("write failed");
+  if (st) {
+    std::filesystem::rename(tmp, target, ec);
+    if (ec) {
+      std::filesystem::remove(tmp, ec);
+      return util::Status::error("cannot rename over output: " + ec.message(),
+                                 path);
+    }
+    return st;
+  }
+  std::filesystem::remove(tmp, ec);
+  return st.path().empty() ? st.with_path(tmp.string()) : st;
 }
 
 }  // namespace msamp::fleet::wire

@@ -1,8 +1,4 @@
-// Internal wire-format codecs for the dataset file format, shared by
-// three writers that must produce byte-identical output by construction:
-// `Dataset::serialize` (whole-blob, fleet/dataset.cc), the disk-backed
-// `fleet::SpillSink` (streaming append, fleet/spill_sink.cc), and the
-// streaming `fleet::merge_shards` (column-at-a-time copy, fleet/merge.cc).
+// The dataset file format (v6) and its one encoder.
 //
 // v6 is columnar: the file is a fixed header plus six sections (window
 // directory, racks, rack runs, server runs, bursts, exemplars).  Each
@@ -15,6 +11,15 @@
 // in different processes merge into bytes identical to a single-process
 // run.  Gap bytes between columns are always zero.
 //
+// Everything that knows where a byte goes lives here: the layout
+// arithmetic, the header codec, the column appenders, and `write_file` /
+// `encode`, the only code that writes a v6 file.  `Dataset::serialize` and
+// `Dataset::save`, `SpillSink::finalize` and `merge_shards` all call it;
+// they differ only in where the two bulky sections (server runs and
+// bursts) come from — owned records, spill files (`ColumnSpill`) or mapped
+// shard files (`ShardColumns`).  The one decoder is DatasetView
+// (fleet/dataset_view.h), which parses the header with `read_header_v6`.
+//
 // This header is wire-format code for msamp_lint purposes: whole-struct
 // `sizeof(<RecordType>)` copies are banned here exactly as in dataset.cc
 // (the codec templates' `sizeof(T)` is guarded by the static_asserts).
@@ -23,11 +28,16 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
+#include <span>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "fleet/dataset.h"
+#include "fleet/dataset_view.h"
 #include "util/status.h"
 
 namespace msamp::fleet::wire {
@@ -35,15 +45,10 @@ namespace msamp::fleet::wire {
 inline constexpr std::uint32_t kMagic = 0x4d464c54;  // "MFLT"
 // Wire-format version.  Bump whenever the serialized layout changes (new
 // fields, reordered fields, record shape changes): old cache files then
-// fail to parse and are regenerated.  v4: field-wise row records, serialized
-// FleetConfig, and the shard header.  v5: kDelayDriven policy parameters
-// (SharedBufferConfig::delay) in the serialized config.  v6: columnar
-// sections with page-aligned columns and a per-window directory; the
-// legacy row layouts (v4/v5) are still readable by `Dataset::load` so
-// `msampctl migrate` can rewrite old files.
+// fail to parse and are regenerated.  v4 and v5 were row-wise layouts; no
+// reader for them remains, so such a file fails closed with "unsupported
+// dataset version".
 inline constexpr std::uint32_t kVersion = 6;
-inline constexpr std::uint32_t kLegacyVersionMin = 4;
-inline constexpr std::uint32_t kLegacyVersionMax = 5;
 
 /// Every column starts on a page boundary: mmap'd spans are naturally
 /// aligned for their element type and readahead streams whole columns.
@@ -84,12 +89,8 @@ struct Writer {
   }
 };
 
-/// Appends zero bytes until the writer's absolute position is `abs_offset`
-/// (used to place the next column on its page boundary).
-void pad_to(Writer& w, std::uint64_t abs_offset);
-
-/// Bounds-checked reader over a byte range (a whole serialized blob, or
-/// one section of a shard file streamed through a bounded buffer).
+/// Bounds-checked reader over a byte range (a header prefix, or the
+/// exemplar section of a mapped file).
 struct Reader {
   Reader(const std::uint8_t* bytes, std::size_t count)
       : data(bytes), size(count) {}
@@ -136,11 +137,11 @@ enum Section : std::size_t {
   kNumSections = 6,
 };
 
-// Per-section column byte widths, in field order (matching the row codecs
-// below and the `put_column` overloads).  The window directory's columns
-// are: has_run u8, server_runs u32, bursts u32, then the shard-local
-// running record offsets run_off/server_off/burst_off u64 (prefix sums of
-// the counts; first window is 0), which give O(1) window slicing.
+// Per-section column byte widths, in record field order.  The window
+// directory's columns are: has_run u8, server_runs u32, bursts u32, then
+// the shard-local running record offsets run_off/server_off/burst_off u64
+// (prefix sums of the counts; first window is 0), which give O(1) window
+// slicing.
 inline constexpr std::size_t kWindowDirWidths[] = {1, 4, 4, 8, 8, 8};
 inline constexpr std::size_t kRackWidths[] = {4, 1, 1, 2, 4, 4, 4, 1};
 inline constexpr std::size_t kRackRunWidths[] = {4, 1, 1, 1, 4, 2, 2, 2,
@@ -188,11 +189,8 @@ struct V6Layout {
 /// section directory.
 std::size_t header_bytes_v6();
 
-/// Serialized size of the FleetConfig codec (version-independent part of
-/// the header arithmetic; the v4 codec is this minus the delay fields).
+/// Serialized size of the FleetConfig codec.
 std::size_t config_wire_size();
-
-V6Layout v6_layout(const SectionCounts& counts);
 
 /// Everything in the fixed v6 prefix.  `counts.exemplar_bytes` mirrors
 /// `dir[kSecExemplars].bytes` (the count fields on the wire are only the
@@ -207,12 +205,10 @@ struct V6Header {
   std::array<SectionExtent, kNumSections> dir{};
 };
 
-void put_header_v6(Writer& w, const V6Header& h);
-
 /// Parses and validates a v6 fixed prefix from the first `available` bytes
 /// of a file whose total size is `file_size`.  On success fills `h` and
-/// `layout` (recomputed from the counts) after checking: magic/version (a
-/// v4/v5 file gets a "run msampctl migrate" error), config decode, a
+/// `layout` (recomputed from the counts) after checking: magic/version
+/// (anything but v6 is "unsupported dataset version N"), config decode, a
 /// canonical shard window range, a complete rack table
 /// (2 * racks_per_region entries), directory == recomputed layout, and
 /// `file_size` == layout end.  The error Status carries the failing byte
@@ -221,84 +217,133 @@ util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
                             std::uint64_t file_size, V6Header* h,
                             V6Layout* layout);
 
-// Columnar field appenders: append column `col` (field order as in the
-// width tables above) of one record to `w`.
-void put_column(Writer& w, const RackInfo& v, std::size_t col);
-void put_column(Writer& w, const RackRunRecord& v, std::size_t col);
-void put_column(Writer& w, const ServerRunRecord& v, std::size_t col);
-void put_column(Writer& w, const BurstRecord& v, std::size_t col);
-
-// --- field-wise row codecs ---------------------------------------------
-// Still used by: the legacy (v4/v5) reader in `Dataset::load`, the
-// exemplar section of v6 (tiny, variable-length), and `legacy_serialize`
-// below.  `wire_size` is the serialized row size of one record, used to
-// bound hostile counts before any allocation.
-
-void put_record(Writer& w, const WindowCounts& c);
-bool get_record(Reader& r, WindowCounts* c);
-constexpr std::size_t wire_size(const WindowCounts*) { return 9; }
-
-void put_record(Writer& w, const RackInfo& v);
-bool get_record(Reader& r, RackInfo* v);
-constexpr std::size_t wire_size(const RackInfo*) { return 21; }
-
-void put_record(Writer& w, const RackRunRecord& v);
-bool get_record(Reader& r, RackRunRecord* v);
-constexpr std::size_t wire_size(const RackRunRecord*) { return 41; }
-
-void put_record(Writer& w, const ServerRunRecord& v);
-bool get_record(Reader& r, ServerRunRecord* v);
-constexpr std::size_t wire_size(const ServerRunRecord*) { return 31; }
-
-void put_record(Writer& w, const BurstRecord& v);
-bool get_record(Reader& r, BurstRecord* v);
-constexpr std::size_t wire_size(const BurstRecord*) { return 20; }
-
-template <typename T>
-void put_records(Writer& w, const std::vector<T>& v) {
-  w.put(static_cast<std::uint64_t>(v.size()));
-  for (const auto& e : v) put_record(w, e);
-}
-
-template <typename T>
-bool get_records(Reader& r, std::vector<T>* v) {
-  std::uint64_t n = 0;
-  if (!r.get(&n)) return false;
-  // Bound the count by the bytes actually left, so a hostile length can
-  // never drive a huge allocation before the per-record reads fail.
-  if (n > r.remaining() / wire_size(static_cast<const T*>(nullptr))) {
-    return false;
-  }
-  v->clear();
-  v->reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    T e;
-    if (!get_record(r, &e)) return false;
-    v->push_back(e);
-  }
-  return true;
-}
-
 /// FleetConfig travels with the dataset so a merge (and `report`/`query`)
 /// can see the scale and classification knobs without re-supplying them.
 /// `threads` is deliberately not serialized: it is execution detail,
-/// never data.  The legacy variants read/write the v4 codec (no
-/// SharedBufferConfig::delay fields) when `version` is 4.
+/// never data.
 void put_config(Writer& w, const FleetConfig& c);
 bool get_config(Reader& r, FleetConfig* c);
-void put_config_legacy(Writer& w, const FleetConfig& c, std::uint32_t version);
-bool get_config_legacy(Reader& r, FleetConfig* c, std::uint32_t version);
 
-void put_exemplar(Writer& w, const ExemplarRun& e);
 bool get_exemplar(Reader& r, ExemplarRun* e);
 
-/// Serialized size of one exemplar payload (row codec above).
-std::size_t exemplar_wire_bytes(const ExemplarRun& e);
+// --- the encoder -------------------------------------------------------
 
-/// Serializes `ds` in the legacy row-wise whole-blob layout (version 4 or
-/// 5).  Kept only so tests and `msampctl migrate` can exercise the legacy
-/// reader; every production writer emits v6.
-std::vector<std::uint8_t> legacy_serialize(const Dataset& ds,
-                                           std::uint32_t version);
+/// Where the encoder's bytes go: an in-memory blob, or a file written
+/// through a buffer flushed every kChunkBytes.  Tracks the absolute file
+/// position, so every column lands exactly where the layout says.
+class ColumnOut {
+ public:
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+  /// Writes to `file` when non-null, else accumulates in memory.
+  explicit ColumnOut(std::ofstream* file = nullptr);
+
+  template <typename T>
+  void put(const T& v) {
+    buf_.put(v);
+    if (file_ != nullptr && buf_.out.size() >= kChunkBytes) flush();
+  }
+  /// Appends `n` raw bytes (a whole column copied from elsewhere).
+  void write(const void* data, std::size_t n);
+  /// Zero-fills up to absolute offset `target` (the next column's page);
+  /// aborts if `target` lies behind the current position.
+  void pad_to(std::uint64_t target);
+
+  std::uint64_t pos() const { return flushed_ + buf_.out.size(); }
+  /// Pushes the buffer to the file; false once any file write failed.
+  bool flush();
+  /// The accumulated bytes of an in-memory output.
+  std::vector<std::uint8_t> take() { return std::move(buf_.out); }
+
+  void reserve(std::uint64_t bytes);
+
+ private:
+  std::ofstream* file_;
+  Writer buf_;
+  std::uint64_t flushed_ = 0;
+};
+
+/// Source of a file's two bulky sections, kSecServerRuns and kSecBursts:
+/// their row counts and, column by column, their bytes.
+class BulkColumns {
+ public:
+  virtual ~BulkColumns() = default;
+  virtual std::uint64_t rows(Section section) const = 0;
+  /// Appends every value of column `col` of `section` to `out`.
+  virtual util::Status write(Section section, std::size_t col,
+                             ColumnOut& out) = 0;
+};
+
+/// Server-run and burst columns spilled to one file per column as windows
+/// arrive (SpillSink), so the final file is a concatenation of spills and
+/// a generation process never holds a shard's records.
+class ColumnSpill final : public BulkColumns {
+ public:
+  /// Opens (truncating: a leftover from a crashed attempt is discarded)
+  /// `<prefix>-servers-cN` and `<prefix>-bursts-cN`.  The in-RAM column
+  /// buffers together stay near `chunk_bytes`.  Throws std::runtime_error
+  /// when a spill file cannot be opened.
+  ColumnSpill(const std::string& prefix, std::size_t chunk_bytes);
+  /// Removes the spill files.
+  ~ColumnSpill() override;
+
+  ColumnSpill(const ColumnSpill&) = delete;
+  ColumnSpill& operator=(const ColumnSpill&) = delete;
+
+  void append(const std::vector<ServerRunRecord>& server_runs,
+              const std::vector<BurstRecord>& bursts);
+  /// Closes and deletes the spill files; no append or write may follow.
+  void remove();
+
+  std::uint64_t rows(Section section) const override;
+  util::Status write(Section section, std::size_t col,
+                     ColumnOut& out) override;
+
+ private:
+  struct Spill {
+    std::filesystem::path path;
+    std::ofstream file;
+    Writer buf;
+  };
+  void flush(Spill& s);
+  std::vector<Spill>& spills(Section section);
+
+  std::size_t chunk_bytes_;
+  std::size_t col_chunk_bytes_;
+  std::vector<Spill> servers_;
+  std::vector<Spill> bursts_;
+  std::uint64_t server_rows_ = 0;
+  std::uint64_t burst_rows_ = 0;
+};
+
+/// Server-run and burst columns of validated shard views in canonical
+/// order (merge_shards): each merged column is the shards' columns
+/// concatenated, copied straight from the mappings.
+class ShardColumns final : public BulkColumns {
+ public:
+  explicit ShardColumns(std::span<const DatasetView> shards);
+
+  std::uint64_t rows(Section section) const override;
+  util::Status write(Section section, std::size_t col,
+                     ColumnOut& out) override;
+
+ private:
+  std::span<const DatasetView> shards_;
+  std::vector<V6Layout> layouts_;
+};
+
+/// Serializes `ds` to v6 in memory.
+std::vector<std::uint8_t> encode(const Dataset& ds);
+
+/// Writes `ds` as a v6 file: to `<path>.tmp`, then one atomic rename, so a
+/// crash mid-write never leaves a truncated file at `path`.  Creates the
+/// parent directory.  On failure `path` is untouched and the temp removed.
+util::Status write_file(const std::string& path, const Dataset& ds);
+
+/// As above, with the server-run and burst sections taken from `bulk`;
+/// `head` supplies everything else (its own server_runs and bursts are
+/// not read).
+util::Status write_file(const std::string& path, const Dataset& head,
+                        BulkColumns& bulk);
 
 }  // namespace msamp::fleet::wire

@@ -230,7 +230,8 @@ TEST(ChildProcess, WorkerDiesOfSigpipeWhenTheCoordinatorDies) {
   // one, and dies without running destructors (as under SIGKILL).  It
   // ignores SIGPIPE, and the worker shell cannot reset an ignored signal,
   // so this also checks that spawn restores the default.  The wedged
-  // sibling must not hold the first worker's pipe open.
+  // sibling must not hold the first worker's pipe open, and must itself
+  // die with the coordinator although it never writes.
   int report[2];
   ASSERT_EQ(::pipe(report), 0);
   const pid_t coordinator = ::fork();
@@ -260,11 +261,12 @@ TEST(ChildProcess, WorkerDiesOfSigpipeWhenTheCoordinatorDies) {
   ASSERT_TRUE(exited_ok(status)) << describe_status(status);
   ASSERT_EQ(got, static_cast<ssize_t>(sizeof(pids)));
   EXPECT_TRUE(exits_within(pids[0], 5000)) << "worker " << pids[0];
-  // The wedged worker never writes, so nothing stops it but a kill (nor,
-  // had this failed, the heartbeating one).
+  // The wedged worker never writes, so no SIGPIPE reaches it: the parent
+  // death signal must end it on its own.
+  EXPECT_TRUE(exits_within(pids[1], 5000)) << "wedged worker " << pids[1];
+  // Cleanup only, should either assertion have failed.
   ::kill(-pids[0], SIGKILL);
   ::kill(-pids[1], SIGKILL);
-  EXPECT_TRUE(exits_within(pids[1], 5000));
 }
 
 TEST(ChildProcess, SelfExePathResolves) {

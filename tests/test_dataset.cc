@@ -6,11 +6,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
 #include "fleet/dataset_view.h"
 #include "fleet/fleet_runner.h"
+#include "fleet/merge.h"
+#include "fleet/spill_sink.h"
 #include "fleet/wire.h"
 
 namespace msamp::fleet {
@@ -155,50 +158,16 @@ TEST(Dataset, SaveThenOpenMapped) {
   std::filesystem::remove_all("test_dataset_tmp");
 }
 
-TEST(Dataset, LoadRejectsV6WithMigrationHint) {
-  // The legacy row-wise loader refuses a v6 file and tells the operator
-  // how to proceed instead of failing opaquely.
-  const std::string path = "test_dataset_reject_tmp/ds6.bin";
-  ASSERT_TRUE(sample_dataset().save(path));
-  Dataset loaded;
-  const auto st = loaded.load(path);
-  EXPECT_FALSE(st);
-  EXPECT_NE(st.to_string().find("migrate"), std::string::npos)
-      << st.to_string();
-  std::filesystem::remove_all("test_dataset_reject_tmp");
-}
-
-TEST(Dataset, LoadReadsLegacyV4AndV5) {
-  const Dataset ds = sample_dataset();
-  for (std::uint32_t version : {4u, 5u}) {
-    const std::string path = "test_dataset_legacy_tmp/legacy.bin";
-    std::filesystem::create_directories("test_dataset_legacy_tmp");
-    const auto blob = wire::legacy_serialize(ds, version);
-    {
-      std::ofstream out(path, std::ios::binary);
-      out.write(reinterpret_cast<const char*>(blob.data()),
-                static_cast<std::streamsize>(blob.size()));
-    }
-    Dataset loaded;
-    const auto st = loaded.load(path);
-    ASSERT_TRUE(st) << "v" << version << ": " << st.to_string();
-    EXPECT_EQ(loaded.fingerprint, ds.fingerprint);
-    EXPECT_EQ(loaded.bursts.size(), ds.bursts.size());
-    EXPECT_EQ(loaded.racks.size(), ds.racks.size());
-    std::filesystem::remove_all("test_dataset_legacy_tmp");
-  }
-}
-
 TEST(Dataset, LoadMissingFileFails) {
-  Dataset ds;
-  EXPECT_FALSE(ds.load("does/not/exist.bin"));
+  DatasetView view;
+  EXPECT_FALSE(Dataset::open_mapped("does/not/exist.bin", &view));
 }
 
 TEST(Dataset, LoadDirectoryFails) {
-  // On Linux a directory can be opened for reading but tellg() is -1;
-  // load must fail cleanly rather than size a 2^64-byte buffer.
-  Dataset ds;
-  EXPECT_FALSE(ds.load("."));
+  // On Linux a directory can be opened for reading; the loader must fail
+  // cleanly rather than map or size anything from it.
+  DatasetView view;
+  EXPECT_FALSE(Dataset::open_mapped(".", &view));
 }
 
 TEST(Dataset, RealBlobRoundTrips) {
@@ -351,6 +320,79 @@ TEST(Dataset, SingleByteMutationsNeverCrash) {
     Dataset ds;
     (void)ds.deserialize(mutated);
   }
+}
+
+std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= data[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>());
+}
+
+TEST(Dataset, GoldenV6Digest) {
+  // Pins the v6 bytes themselves: every writer (serialize, SpillSink,
+  // merge_shards) shares one encoder, so comparing them with each other
+  // cannot catch a layout drift.  Seven hours reach the busy hour, where
+  // the Figure 5 exemplars are captured.
+  FleetConfig cfg;
+  cfg.seed = 2;
+  cfg.racks_per_region = 3;
+  cfg.hours = 7;
+  cfg.samples_per_run = 60;
+  cfg.warmup_ms = 5;
+  cfg.threads = 2;
+  const Dataset day = run_fleet(cfg);
+  ASSERT_NE(day.low_contention_example.num_samples, 0);
+  ASSERT_NE(day.high_contention_example.num_samples, 0);
+  const auto blob = day.serialize();
+  constexpr std::uint64_t kDayDigest = 0x15bc8b687b95b544ULL;
+  constexpr std::size_t kDayBytes = 293772;
+  EXPECT_EQ(blob.size(), kDayBytes);
+  EXPECT_EQ(fnv1a64(blob.data(), blob.size()), kDayDigest);
+
+  const std::filesystem::path dir = "test_dataset_golden_tmp";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    const auto path = (dir / "spill.bin").string();
+    SpillSink sink(cfg, ShardSpec{}, path);
+    run_fleet(cfg, ShardSpec{}, sink);
+    ASSERT_TRUE(sink.finalize());
+    const auto bytes = read_bytes(path);
+    EXPECT_EQ(bytes.size(), kDayBytes);
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), kDayDigest);
+  }
+  std::vector<std::string> shards;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    shards.push_back((dir / ("shard" + std::to_string(i) + ".bin")).string());
+    SpillSink sink(cfg, ShardSpec{i, 3}, shards.back(), /*chunk_bytes=*/64);
+    run_fleet(cfg, ShardSpec{i, 3}, sink);
+    ASSERT_TRUE(sink.finalize());
+  }
+  {
+    // A partial shard: shard-local offsets, unclassified rack table.
+    constexpr std::uint64_t kShardDigest = 0xbca2ac4bee8694f3ULL;
+    constexpr std::size_t kShardBytes = 213048;
+    const auto bytes = read_bytes(shards[1]);
+    EXPECT_EQ(bytes.size(), kShardBytes);
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), kShardDigest);
+  }
+  {
+    const auto path = (dir / "merged.bin").string();
+    ASSERT_TRUE(merge_shards(shards, path));
+    const auto bytes = read_bytes(path);
+    EXPECT_EQ(bytes.size(), kDayBytes);
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), kDayDigest);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Dataset, ClassLookup) {

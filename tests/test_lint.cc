@@ -387,71 +387,6 @@ TEST(LintCounters, SuppressionCommentSilencesTheRule) {
   EXPECT_TRUE(lint_source("src/fleet/fleet_runner.cc", src).empty());
 }
 
-TEST(LintViewsOnly, MaterializingLoadInAnalysisOrBenchIsFlagged) {
-  const char* src = R"(void read(const std::string& path) {
-  msamp::fleet::Dataset ds;
-  if (!ds.load(path)) return;
-  use(ds.bursts);
-}
-)";
-  for (const char* file :
-       {"src/analysis/fixture.cc", "bench/bench_fixture.cc"}) {
-    const auto findings = lint_source(file, src);
-    ASSERT_EQ(findings.size(), 1u) << file;
-    EXPECT_EQ(findings[0].rule, "no-load-in-analysis");
-    EXPECT_EQ(findings[0].line, 3);
-  }
-}
-
-TEST(LintViewsOnly, SharedDatasetIsFlaggedByName) {
-  const char* src = R"(const msamp::fleet::Dataset& ds() {
-  return msamp::fleet::shared_dataset(config(), cache_path());
-}
-)";
-  const auto findings = lint_source("bench/common_fixture.cc", src);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "no-load-in-analysis");
-  EXPECT_EQ(findings[0].line, 2);
-}
-
-TEST(LintViewsOnly, AtomicLoadsAreNotDatasetLoads) {
-  // std::atomic reads: no argument, or an explicit std::memory_order.
-  const char* src = R"(bool f(const std::atomic<bool>& done) {
-  return done.load() || done.load(std::memory_order_acquire);
-}
-)";
-  EXPECT_TRUE(lint_source("bench/bench_fixture.cc", src).empty());
-  EXPECT_TRUE(lint_source("src/analysis/fixture.cc", src).empty());
-}
-
-TEST(LintViewsOnly, ViewReadsAndWriterPathsAreClean) {
-  const char* view_src = R"(void read(const std::string& path) {
-  msamp::fleet::DatasetView view;
-  const auto st = msamp::fleet::Dataset::open_mapped(path, &view);
-  use(view.bursts());
-}
-)";
-  EXPECT_TRUE(lint_source("bench/bench_fixture.cc", view_src).empty());
-  const char* load_src = R"(void migrate(const std::string& path) {
-  msamp::fleet::Dataset ds;
-  if (!ds.load(path)) return;
-}
-)";
-  // Writers, migration, and tests keep the legacy materializing loader.
-  EXPECT_TRUE(lint_source("tools/msampctl.cc", load_src).empty());
-  EXPECT_TRUE(lint_source("src/fleet/dataset_view.cc", load_src).empty());
-  EXPECT_TRUE(lint_source("tests/test_dataset.cc", load_src).empty());
-}
-
-TEST(LintViewsOnly, SuppressionCommentSilencesTheRule) {
-  const char* src = R"(void f(const std::string& p) {
-  Dataset ds;
-  ds.load(p);  // msamp-lint: allow(no-load-in-analysis)
-}
-)";
-  EXPECT_TRUE(lint_source("src/analysis/fixture.cc", src).empty());
-}
-
 // --- fingerprint coverage ----------------------------------------------
 
 constexpr const char* kConfigHeader = R"(#pragma once

@@ -1,16 +1,19 @@
 // Tests for the sharded generation API: ShardSpec partition math, the
-// WindowSink streaming contract, and merge_datasets validation + the
-// byte-identity guarantee (merged shards == single-process run).
+// WindowSink streaming contract, and merge_shards validation + the
+// byte-identity guarantee (merged shard files == single-process run).
 #include "fleet/shard.h"
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fleet/dataset_view.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/merge.h"
 
@@ -166,14 +169,39 @@ std::vector<Dataset> make_shards(const FleetConfig& cfg,
   return shards;
 }
 
+/// Saves `shards` (in the given order) to files and folds them with
+/// merge_shards, the way `msampctl merge` does.  On success `merged` holds
+/// the merged file's bytes.
+util::Status merge_files(const std::vector<Dataset>& shards,
+                         const std::string& name,
+                         std::vector<std::uint8_t>* merged = nullptr) {
+  const std::filesystem::path dir = "test_merge_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    paths.push_back((dir / ("shard" + std::to_string(i) + ".bin")).string());
+    EXPECT_TRUE(shards[i].save(paths.back()));
+  }
+  const std::string out = (dir / "merged.bin").string();
+  const auto st = merge_shards(paths, out);
+  if (st && merged != nullptr) {
+    std::ifstream in(out, std::ios::binary);
+    merged->assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  std::filesystem::remove_all(dir);
+  return st;
+}
+
 TEST(Merge, ThreeShardsByteIdenticalToWholeRun) {
   const FleetConfig cfg = tiny_config();
   const Dataset whole = run_fleet(cfg);
 
-  std::string error;
-  const auto merged = merge_datasets(make_shards(cfg, 3), &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(merged->serialize(), whole.serialize());
+  std::vector<std::uint8_t> merged;
+  const auto st = merge_files(make_shards(cfg, 3), "three", &merged);
+  ASSERT_TRUE(st) << st.to_string();
+  EXPECT_EQ(merged, whole.serialize());
 }
 
 TEST(Merge, ShardOrderDoesNotMatter) {
@@ -182,17 +210,17 @@ TEST(Merge, ShardOrderDoesNotMatter) {
 
   std::vector<Dataset> shards = make_shards(cfg, 3);
   std::swap(shards[0], shards[2]);
-  const auto merged = merge_datasets(std::move(shards));
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->serialize(), whole.serialize());
+  std::vector<std::uint8_t> merged;
+  ASSERT_TRUE(merge_files(shards, "order", &merged));
+  EXPECT_EQ(merged, whole.serialize());
 }
 
 TEST(Merge, SingleFullShardMerges) {
   const FleetConfig cfg = tiny_config();
   const Dataset whole = run_fleet(cfg);
-  const auto merged = merge_datasets(make_shards(cfg, 1));
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->serialize(), whole.serialize());
+  std::vector<std::uint8_t> merged;
+  ASSERT_TRUE(merge_files(make_shards(cfg, 1), "single", &merged));
+  EXPECT_EQ(merged, whole.serialize());
 }
 
 TEST(Merge, MoreShardsThanWindowsStillMerges) {
@@ -200,28 +228,28 @@ TEST(Merge, MoreShardsThanWindowsStillMerges) {
   // still reproduce the single-run bytes.
   const FleetConfig cfg = tiny_config();
   const Dataset whole = run_fleet(cfg);
-  std::string error;
-  const auto merged = merge_datasets(make_shards(cfg, 16), &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(merged->serialize(), whole.serialize());
+  std::vector<std::uint8_t> merged;
+  const auto st = merge_files(make_shards(cfg, 16), "many", &merged);
+  ASSERT_TRUE(st) << st.to_string();
+  EXPECT_EQ(merged, whole.serialize());
 }
 
 TEST(Merge, RejectsMissingShard) {
   const FleetConfig cfg = tiny_config();
   std::vector<Dataset> shards = make_shards(cfg, 3);
   shards.pop_back();
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const auto st = merge_files(shards, "missing");
+  EXPECT_FALSE(st);
+  EXPECT_FALSE(st.reason().empty());
 }
 
 TEST(Merge, RejectsDuplicateShard) {
   const FleetConfig cfg = tiny_config();
   std::vector<Dataset> shards = make_shards(cfg, 3);
   shards[2] = shards[1];  // two copies of shard 1, none of shard 2
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const auto st = merge_files(shards, "duplicate");
+  EXPECT_FALSE(st);
+  EXPECT_FALSE(st.reason().empty());
 }
 
 TEST(Merge, RejectsMismatchedFingerprint) {
@@ -230,18 +258,19 @@ TEST(Merge, RejectsMismatchedFingerprint) {
   other.seed = 43;
   std::vector<Dataset> shards = make_shards(cfg, 2);
   shards[1] = make_shard(other, 1, 2);
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+  const auto st = merge_files(shards, "fingerprint");
+  EXPECT_FALSE(st);
+  EXPECT_NE(st.reason().find("fingerprint"), std::string::npos)
+      << st.to_string();
 }
 
 TEST(Merge, RejectsMismatchedShardCount) {
   const FleetConfig cfg = tiny_config();
   std::vector<Dataset> shards = make_shards(cfg, 2);
   shards[1] = make_shard(cfg, 1, 3);  // claims a 3-way split
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const auto st = merge_files(shards, "count");
+  EXPECT_FALSE(st);
+  EXPECT_FALSE(st.reason().empty());
 }
 
 TEST(Merge, RejectsTamperedCountTable) {
@@ -250,29 +279,34 @@ TEST(Merge, RejectsTamperedCountTable) {
   // Drop a record without touching the count table: sums disagree.
   ASSERT_FALSE(shards[0].rack_runs.empty());
   shards[0].rack_runs.pop_back();
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const auto st = merge_files(shards, "tampered");
+  EXPECT_FALSE(st);
+  EXPECT_FALSE(st.reason().empty());
 }
 
 TEST(Merge, RejectsEmptyInput) {
-  std::string error;
-  EXPECT_FALSE(merge_datasets({}, &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const auto st = merge_shards({}, "test_merge_empty.bin");
+  EXPECT_FALSE(st);
+  EXPECT_FALSE(st.reason().empty());
+  EXPECT_FALSE(std::filesystem::exists("test_merge_empty.bin"));
 }
 
 TEST(Merge, TruncatedShardFileFailsToLoad) {
-  // The on-disk path: a truncated shard file must fail Dataset::load (and
-  // therefore never reach merge_datasets with bogus contents).
+  // A truncated shard file fails its mapped open, so it never reaches the
+  // fold with bogus contents, and the merge leaves no output behind.
   const FleetConfig cfg = tiny_config();
-  const Dataset shard = make_shard(cfg, 0, 2);
-  const std::string path = "test_shard_truncated.bin";
-  ASSERT_TRUE(shard.save(path));
-  const auto full_size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full_size - 7);
-  Dataset loaded;
-  EXPECT_FALSE(loaded.load(path));
-  std::remove(path.c_str());
+  const std::vector<std::string> paths = {"test_shard_truncated0.bin",
+                                          "test_shard_truncated1.bin"};
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(make_shard(cfg, i, 2).save(paths[i]));
+  }
+  const auto full_size = std::filesystem::file_size(paths[0]);
+  std::filesystem::resize_file(paths[0], full_size - 7);
+  DatasetView view;
+  EXPECT_FALSE(Dataset::open_mapped(paths[0], &view));
+  EXPECT_FALSE(merge_shards(paths, "test_shard_truncated_merged.bin"));
+  EXPECT_FALSE(std::filesystem::exists("test_shard_truncated_merged.bin"));
+  for (const auto& p : paths) std::remove(p.c_str());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-# Exercises `msampctl query` (the zero-copy DatasetView read path) and
-# `msampctl migrate` against a freshly generated day, and pins the failure
-# modes: querying a missing file, filtering outside the day, and migrating
-# an already-v6 file must fail with a nonzero exit.
+# Exercises `msampctl query` (the zero-copy DatasetView read path) against
+# a freshly generated day, and pins the failure modes: querying a missing
+# file or filtering outside the day must fail with a nonzero exit.
 set(work ${CMAKE_CURRENT_BINARY_DIR}/cli_query_work)
 file(REMOVE_RECURSE ${work})
 file(MAKE_DIRECTORY ${work})
@@ -62,11 +61,10 @@ if(NOT first STREQUAL second)
   message(FATAL_ERROR "query output is not deterministic")
 endif()
 
-# Failure modes: missing dataset, malformed rack range, v6 into migrate.
+# Failure modes: missing dataset, malformed rack range, unknown table.
 must_fail(query --dataset missing.bin)
 must_fail(query --dataset ds.bin --racks 5-2)
 must_fail(query --dataset ds.bin --what bogus)
-must_fail(migrate --in ds.bin --out ds2.bin)
 
 # Filters outside the 2-hour, 6-rack day: an hour past the end, a negative
 # hour (which once meant "every hour"), a rack range disjoint from the

@@ -40,6 +40,20 @@ expect_usage_error(fleet --shard a/b)               # non-numeric halves
 expect_usage_error(merge)                           # no shard files given
 expect_usage_error(merge --bogus x shard.bin)       # unknown flag
 
+# Scale flags outside what the dataset's record fields hold (hour is a
+# uint8, a day has at most 24 hours, exemplars store samples as a uint16)
+# fail closed in every command that builds a FleetConfig from flags.
+expect_usage_error(fleet --racks -3)
+expect_usage_error(fleet --racks 0)
+expect_usage_error(fleet --hours 0)
+expect_usage_error(fleet --hours 25)
+expect_usage_error(fleet --hours 300)
+expect_usage_error(fleet --samples 0)
+expect_usage_error(fleet --samples 65536)
+expect_usage_error(worker --racks 0 --shard 0/1 --out w.bin)
+expect_usage_error(cluster --hours 300 --out c.bin)
+expect_usage_error(sweep --samples 0 --policies dt)
+
 # The happy path still works end to end.
 expect_ok(simulate-rack --servers 8 --samples 60 --out t.csv)
 expect_ok(analyze --trace t.csv)

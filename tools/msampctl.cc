@@ -24,7 +24,10 @@
 //       split of the day (a first-class partial dataset file); run the N
 //       shards in as many processes or machines as you like and fold them
 //       back with `msampctl merge`.  Any thread count and any shard split
-//       produce byte-identical output for a given --seed.
+//       produce byte-identical output for a given --seed.  --racks must
+//       be at least 1, --hours in [1, 24] and --samples in [1, 65535]
+//       (the record fields they feed); anything else exits 2, here and in
+//       `cluster`, `worker` and `sweep`.
 //
 //   msampctl merge shard0.bin shard1.bin ... [--out dataset.bin]
 //       Validate (fingerprint, shard coverage, per-window record counts)
@@ -80,12 +83,6 @@
 //       bounded RSS.  An --hour outside the day's [0, hours) or a --racks
 //       range holding none of its rack ids is a usage error (exit 2).
 //
-//   msampctl migrate --in old.bin [--out new.bin]
-//       Rewrite a legacy v4/v5 row-wise dataset file as v6 columnar
-//       (--out defaults to --in, an in-place rewrite).  The stored
-//       fingerprint is preserved and the rewritten file is re-opened and
-//       cross-checked (fingerprint + record counts) before success.
-//
 //   msampctl version
 //       Print the build's identity: dataset wire-format version, model
 //       (generator behavior) version, compiler and build flags, and the
@@ -99,6 +96,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <tuple>
@@ -238,12 +236,28 @@ int cmd_analyze(const Flags& flags) {
 /// re-execs workers with exactly these flags (cluster::Coordinator::
 /// command_for), so the commands must agree on names and defaults or the
 /// workers' fingerprints would diverge.
+/// The scale flags are checked against the record fields they feed, so a
+/// bad value fails here (exit 2) instead of aborting or silently wrapping:
+/// every record stores `hour` as a uint8 and exemplars store the sample
+/// count as a uint16, and a day has at most 24 hours.
 fleet::FleetConfig fleet_config_from_flags(const Flags& flags) {
+  const auto bounded = [&flags](const std::string& name, long fallback,
+                                long lo, long hi) {
+    const long v = flags.num(name, fallback);
+    if (v < lo || v > hi) {
+      throw util::UsageError("--" + name + " " + std::to_string(v) +
+                             " is outside [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "]");
+    }
+    return static_cast<int>(v);
+  };
   fleet::FleetConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 42));
-  cfg.racks_per_region = static_cast<int>(flags.num("racks", 32));
-  cfg.hours = static_cast<int>(flags.num("hours", 24));
-  cfg.samples_per_run = static_cast<int>(flags.num("samples", 500));
+  cfg.racks_per_region =
+      bounded("racks", 32, 1, std::numeric_limits<int>::max() / 2);
+  cfg.hours = bounded("hours", 24, 1, 24);
+  cfg.samples_per_run =
+      bounded("samples", 500, 1, std::numeric_limits<std::uint16_t>::max());
   cfg.threads = static_cast<int>(flags.num("threads", 0));
   const std::string policy = flags.str("policy", "dt");
   if (!net::parse_policy(policy, &cfg.buffer.policy)) {
@@ -766,17 +780,6 @@ int cmd_query(const Flags& flags) {
   return 0;
 }
 
-int cmd_migrate(const Flags& flags) {
-  const std::string in = flags.str("in", "dataset.bin");
-  const std::string out = flags.str("out", in);
-  if (auto st = fleet::migrate_dataset_file(in, out); !st) {
-    std::cerr << "error: " << st.to_string() << "\n";
-    return 1;
-  }
-  std::cout << "migrated " << in << " -> " << out << " (v6 columnar)\n";
-  return 0;
-}
-
 int cmd_version(const Flags&) {
   util::Table table({"field", "value"});
   table.add_row({"wire-version", std::to_string(fleet::wire::kVersion)});
@@ -814,7 +817,7 @@ int cmd_version(const Flags&) {
 void usage() {
   std::cout << "usage: msampctl "
                "<simulate-rack|analyze|fleet|merge|cluster|worker|sweep|"
-               "report|query|migrate|version> [--flag value ...]\n"
+               "report|query|version> [--flag value ...]\n"
                "see the header of tools/msampctl.cc for full flag lists\n";
 }
 
@@ -852,7 +855,6 @@ int main(int argc, char** argv) {
       {"report", {"dataset"}},
       {"query", {"dataset", "region", "hour", "racks", "class", "what",
                  "limit"}},
-      {"migrate", {"in", "out"}},
       {"version", {}},
   };
   const auto it = known_flags.find(cmd);
@@ -871,7 +873,6 @@ int main(int argc, char** argv) {
     if (cmd == "worker") return cmd_worker(flags);
     if (cmd == "sweep") return cmd_sweep(flags);
     if (cmd == "query") return cmd_query(flags);
-    if (cmd == "migrate") return cmd_migrate(flags);
     if (cmd == "version") return cmd_version(flags);
     return cmd_report(flags);
   } catch (const util::UsageError& e) {
