@@ -5,7 +5,7 @@
 // This is the ONE sanctioned reader of the contention counters: every
 // other output path is barred from them by msamp_lint's
 // counters-not-in-output rule.  Its CSV is deliberately absent from
-// scripts/check_bench_determinism.sh — the numbers describe *execution*
+// scripts/check_determinism.sh — the numbers describe *execution*
 // (which lane won a CAS, how often a trylock failed) and legitimately
 // vary run to run; only their shape (contention grows with thread count)
 // is stable.

@@ -13,11 +13,10 @@
 # CPU and faults come from getrusage(RUSAGE_CHILDREN) in a small python3
 # wrapper (time(1) is not installed everywhere).  Besides the CSV on
 # stdout, each run overwrites BENCH_fleet_scaling.json with the same rows
-# plus the host's core count, the SIMD path the run's
-# kernels routed to (`msampctl version`'s simd-active), and the pool's lock
-# contention rate at each thread count (from bench_pool_contention, null
-# when that binary isn't built).  The committed file's git history is the
-# perf trajectory future re-anchors read (docs/OBSERVABILITY.md).
+# plus the host's core count and the pool's lock contention rate at each
+# thread count (from bench_pool_contention, null when that binary isn't
+# built).  The committed file's git history is the perf trajectory future
+# re-anchors read (docs/OBSERVABILITY.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,11 +32,6 @@ JSON=${JSON:-BENCH_fleet_scaling.json}
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
-
-# The SIMD path the kernels route to: perf rows are only comparable across
-# runs that took the same path (docs/SIMD.md).
-simd_path=$("$BIN" version | awk '$1 == "simd-active" { print $2 }')
-[ -n "$simd_path" ] || simd_path=unknown
 
 # Refresh the contention table first (bench_out/pool_contention.csv) so
 # each thread count's lock rate can ride along in the JSON rows.
@@ -97,7 +91,6 @@ cat > "$JSON" <<EOF
   "hours": $HOURS,
   "samples_per_run": $SAMPLES,
   "host_cores": $(nproc),
-  "simd_path": "$simd_path",
   "rows": [
     $rows
   ]

@@ -1,22 +1,21 @@
-// util::simd — runtime-dispatched SIMD kernels for the sampler, fluid-rack,
-// and burst-detection hot paths.
+// util::simd — the array kernels of the sampler, fluid-rack, and
+// burst-detection hot paths.
 //
-// The dispatch layer detects CPU features once at startup (CPUID on x86,
-// compile-time on AArch64) and routes every kernel through a function-pointer
-// table to the best implementation compiled into the binary: scalar, SSE4.2,
-// AVX2, or NEON. The `MSAMP_SIMD` environment variable
-// (`scalar|sse4|avx2|neon|auto`) forces a path at startup; tests and benches
-// use `force_path()` instead so they never mutate the environment.
+// Each kernel is one portable C++ loop (src/util/simd/kernels.cc), built
+// with the project's normal flags; the compiler vectorizes what it can.
 //
-// Determinism contract: every kernel below produces byte-identical output on
-// every path. The integer kernels are exact, so cross-path identity is free;
-// the double fold `sum_f64` pins a fixed-width lane-then-tree addition DAG
-// (see docs/SIMD.md) that each ISA implementation must reproduce, and
-// scripts/check_simd_determinism.sh enforces the whole contract end to end.
+// Determinism contract: the integer kernels are exact.  The double fold
+// `sum_f64` pins one addition DAG (below) rather than a plain left fold;
+// that DAG is what `util::canonical_sum` has always emitted, so the tables
+// and bench CSVs built on it keep their bytes.  IEEE-754 addition of the
+// same operands in the same order is bit-deterministic, and without
+// -ffast-math the compiler may not reassociate it, so the written-out
+// lanes are the contract — vectorizing them lane-for-lane (two 2-wide or
+// one 4-wide register) leaves the DAG unchanged.
 //
-// Raw intrinsics live only in this subsystem; the msamp_lint rule
-// `intrinsics-only-in-simd` flags `<immintrin.h>`/`<arm_neon.h>` includes and
-// `_mm*`/`vld1q_*` identifiers anywhere else.
+// The msamp_lint rule `intrinsics-only-in-simd` flags raw vendor intrinsics
+// (intrinsic header includes, `_mm*`/`vld1q_*` identifiers) everywhere in
+// the tree, this directory included.
 #pragma once
 
 #include <cstddef>
@@ -25,58 +24,26 @@
 
 namespace msamp::util::simd {
 
-/// Instruction-set paths a kernel call can be routed to. `kScalar` is always
-/// compiled; the others exist only when the toolchain targets that ISA.
-enum class IsaPath : std::uint8_t { kScalar = 0, kSse4 = 1, kAvx2 = 2, kNeon = 3 };
+/// The kernel implementation a build routes to.  There is one: the
+/// portable loops, vectorized (or not) by the compiler.  `msampctl
+/// version` reports it as `simd-active`.
+enum class IsaPath : std::uint8_t { kAuto = 0 };
 
-/// Stable lowercase name for `p` ("scalar", "sse4", "avx2", "neon") —
-/// the same spelling `MSAMP_SIMD` accepts.
+/// Stable lowercase name for `p` ("auto").
 const char* path_name(IsaPath p) noexcept;
 
-/// The path kernel calls currently route to (after detection, the
-/// `MSAMP_SIMD` override, and any `force_path` call).
+/// The path kernel calls route to (always kAuto).
 IsaPath active_path() noexcept;
 
-/// The best path for this host ignoring overrides: compiled into the binary
-/// and supported by the running CPU.
-IsaPath detected_path() noexcept;
-
-/// Every path compiled into the binary and supported by the running CPU,
-/// in ascending IsaPath order. Always contains `kScalar`.
-std::vector<IsaPath> available_paths();
-
-/// Routes subsequent kernel calls to `p`. Returns false (and leaves the
-/// active path unchanged) when `p` is not in `available_paths()`.
-/// Thread-compatible: call before spawning workers, not concurrently with
-/// kernel calls in flight.
-bool force_path(IsaPath p) noexcept;
-
-/// The raw `MSAMP_SIMD` value captured at first dispatch ("" when unset)
-/// and whether it named an available path and was honored.
-const char* env_request() noexcept;
-bool env_honored() noexcept;
-
 // ---------------------------------------------------------------------------
-// u64 bucket tally kernels (core::TcFilter per-CPU counter arrays).
+// u64 bucket tally kernel (core::TcFilter per-CPU counter arrays).
 // ---------------------------------------------------------------------------
-
-/// dst[i] += src[i] with wrap-around (mod 2^64), i in [0, n).
-void add_u64(std::uint64_t* dst, const std::uint64_t* src,
-             std::size_t n) noexcept;
-
-/// dst[i] = dst[i] + src[i], clamped to UINT64_MAX on overflow.
-void saturating_add_u64(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) noexcept;
-
-/// dst[i] |= src[i] (sketch word merge).
-void or_u64(std::uint64_t* dst, const std::uint64_t* src,
-            std::size_t n) noexcept;
 
 /// Word layout of one core::RawBucket row: kRowTallyWords counter words
 /// followed by (kRowWords - kRowTallyWords) bitmap words. tally_rows_u64
 /// folds a per-CPU array of such rows into `dst`: counter words
-/// saturating-add, bitmap words bitwise-OR. `n_words` must be a multiple of
-/// kRowWords.
+/// saturating-add (clamped to UINT64_MAX), bitmap words bitwise-OR.
+/// `n_words` must be a multiple of kRowWords.
 inline constexpr std::size_t kRowWords = 7;
 inline constexpr std::size_t kRowTallyWords = 5;
 void tally_rows_u64(std::uint64_t* dst, const std::uint64_t* src,
@@ -102,8 +69,7 @@ struct Run {
 };
 
 /// Extracts all maximal runs of set bits from `mask_words` covering bit
-/// positions [0, n). Path-independent by construction (one shared scalar
-/// implementation over the mask words).
+/// positions [0, n).
 std::vector<Run> extract_runs(const std::uint64_t* mask_words, std::size_t n);
 
 /// out[i] = base[i * stride_words], i in [0, n) — strided column gather out
@@ -124,13 +90,13 @@ void dt_admit_i64(const std::int64_t* demand, const std::int64_t* limit,
 /// Number of independent accumulator lanes in the pinned fold DAG.
 inline constexpr std::size_t kFoldLanes = 4;
 
-/// Fixed-width lane-then-tree fold over v[0..n), byte-identical on every
-/// path. The pinned DAG (W = kFoldLanes):
+/// Fixed-width lane-then-tree fold over v[0..n). The pinned DAG
+/// (W = kFoldLanes):
 ///   lane j accumulates serially:  acc[j] += v[W*i + j]
 ///   tree combine:                 r = (acc[0] + acc[2]) + (acc[1] + acc[3])
 ///   tail (n % W trailing values): r += v[k], serially, left to right
-/// Every ISA implementation must realize exactly this DAG; see docs/SIMD.md
-/// for the per-ISA correspondence proof obligation.
+/// W stays 4 whatever the vector width; changing the DAG changes the bytes
+/// of every reader table and bench CSV that sums through canonical_sum.
 double sum_f64(const double* v, std::size_t n) noexcept;
 
 }  // namespace msamp::util::simd

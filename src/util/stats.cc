@@ -131,8 +131,8 @@ double safe_ratio(double num, double den) noexcept {
 
 double canonical_sum(const double* data, std::size_t n) noexcept {
   // The contract is the fixed-width lane-then-tree DAG pinned in
-  // util::simd::sum_f64; every ISA path must reproduce those exact bytes
-  // (proven by tests/test_simd.cc and scripts/check_simd_determinism.sh).
+  // util::simd::sum_f64 (tests/test_simd.cc checks it bit for bit against
+  // an independent copy of the DAG).
   return simd::sum_f64(data, n);
 }
 

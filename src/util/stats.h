@@ -114,10 +114,11 @@ double safe_ratio(double num, double den) noexcept;
 // stays a strict left fold.  The contiguous `canonical_sum` is pinned to
 // the fixed-width lane-then-tree fold implemented by `util::simd::sum_f64`
 // (4 serial accumulator lanes, tree combine `(l0+l2)+(l1+l3)`, serial
-// tail), which every ISA path reproduces byte-identically —
-// scripts/check_simd_determinism.sh enforces it (docs/SIMD.md,
-// docs/PERFORMANCE.md).  msamp_lint's `float-accum-order` rule flags
-// ad-hoc `+=` loops.
+// tail).  That DAG, not a left fold, is what the reader tables and bench
+// CSVs summed through it have always emitted, so it stays pinned: the
+// four lanes are written out, which lets the compiler vectorize them
+// lane-for-lane without changing a bit (docs/PERFORMANCE.md).
+// msamp_lint's `float-accum-order` rule flags ad-hoc `+=` loops.
 
 /// Sum of n doubles in the pinned lane-then-tree order (simd::sum_f64).
 double canonical_sum(const double* data, std::size_t n) noexcept;

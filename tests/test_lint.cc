@@ -912,15 +912,23 @@ void f(unsigned long long* d) {
                 "bench/fixture.cc:3: intrinsics-only-in-simd"}));
 }
 
-TEST(LintIntrinsics, SimdSubsystemIsTheAllowlist) {
+TEST(LintIntrinsics, SimdSubsystemIsNotExempt) {
+  // util::simd is portable loops too: raw intrinsics are flagged there
+  // exactly as anywhere else.
   const char* src = R"(#include <smmintrin.h>
 void g(unsigned long long* d) {
   __m128i v = _mm_loadu_si128((const __m128i*)d);
   _mm_storeu_si128((__m128i*)d, v);
 }
 )";
-  EXPECT_TRUE(lint_source("src/util/simd/kernels_sse4.cc", src).empty());
-  EXPECT_TRUE(lint_source("src/util/simd/simd_internal.h", src).empty());
+  EXPECT_EQ(locations(lint_source("src/util/simd/kernels.cc", src)),
+            (std::vector<std::string>{
+                "src/util/simd/kernels.cc:1: intrinsics-only-in-simd",
+                "src/util/simd/kernels.cc:3: intrinsics-only-in-simd",
+                "src/util/simd/kernels.cc:3: intrinsics-only-in-simd",
+                "src/util/simd/kernels.cc:3: intrinsics-only-in-simd",
+                "src/util/simd/kernels.cc:4: intrinsics-only-in-simd",
+                "src/util/simd/kernels.cc:4: intrinsics-only-in-simd"}));
 }
 
 TEST(LintIntrinsics, CleanCodeAndLookalikeIdentifiersPass) {
@@ -945,14 +953,14 @@ TEST(LintIntrinsics, SuppressionCommentIsHonored) {
   EXPECT_TRUE(lint_source("src/core/fixture.cc", src).empty());
 }
 
-TEST(LintIntrinsics, GetenvAllowedInSimdDispatch) {
+TEST(LintIntrinsics, GetenvInSimdIsFlagged) {
+  // No environment variable steers the kernels, so util::simd reads none.
   const char* src = R"(#include <cstdlib>
-const char* f() { return std::getenv("MSAMP_SIMD"); }
+const char* f() { return std::getenv("MSAMP_THREADS"); }
 )";
-  EXPECT_TRUE(lint_source("src/util/simd/dispatch.cc", src).empty());
-  const auto findings = lint_source("src/core/fixture.cc", src);
-  EXPECT_EQ(locations(findings),
-            (std::vector<std::string>{"src/core/fixture.cc:2: nondet-getenv"}));
+  EXPECT_EQ(locations(lint_source("src/util/simd/kernels.cc", src)),
+            (std::vector<std::string>{
+                "src/util/simd/kernels.cc:2: nondet-getenv"}));
 }
 
 }  // namespace

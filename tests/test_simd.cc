@@ -1,5 +1,5 @@
-// Property tests for util::simd: every compiled ISA path must agree with the
-// scalar reference on adversarial inputs — unaligned offsets, lengths around
+// Property tests for util::simd: every kernel must agree with a naive
+// reference on adversarial inputs — unaligned offsets, lengths around
 // vector-width multiples, saturation edges, and NaN/inf handling in the
 // pinned float fold.  The suites all start with "Simd" so scripts/check.sh
 // can select them with a single -R regex under the sanitizers.
@@ -19,23 +19,8 @@
 namespace msamp::util::simd {
 namespace {
 
-// Forces a path for one scope and restores the previously active path on
-// exit, so test ordering never leaks a forced path into other suites.
-class ScopedPath {
- public:
-  explicit ScopedPath(IsaPath p) : prev_(active_path()), ok_(force_path(p)) {}
-  ~ScopedPath() { force_path(prev_); }
-  ScopedPath(const ScopedPath&) = delete;
-  ScopedPath& operator=(const ScopedPath&) = delete;
-  bool ok() const { return ok_; }
-
- private:
-  IsaPath prev_;
-  bool ok_;
-};
-
-// Lengths straddling every vector width in play: 2 (SSE/NEON u64 lanes),
-// 4 (AVX2 u64 lanes / fold lanes), 28 (one AVX2 tally cycle), 64 (one mask
+// Lengths straddling the vector widths a compiler may pick: 2 and 4 u64
+// lanes (4 is also the fold width), 28 (four tally rows), 64 (one mask
 // word), plus ragged tails around each.
 const std::vector<std::size_t>& lengths() {
   static const std::vector<std::size_t> kLens = {
@@ -45,7 +30,7 @@ const std::vector<std::size_t>& lengths() {
 }
 
 // Misaligning the data start by 0..3 u64 words exercises the unaligned
-// load/store forms in every vector kernel.
+// load/store forms of whatever vector code the compiler emits.
 constexpr std::size_t kMaxOffset = 4;
 
 std::vector<std::uint64_t> random_u64(Rng& rng, std::size_t n,
@@ -94,8 +79,8 @@ std::uint64_t bits_of(double d) {
 // namespace-level Run type, so the reference below spells it via an alias.
 using RunVec = std::vector<Run>;
 
-// The pinned fold DAG from simd.h, restated independently of
-// kernels_scalar.cc so the reference itself is under test.
+// The pinned fold DAG from simd.h, restated independently of kernels.cc
+// so the kernel is checked against a second reading of the contract.
 double pinned_fold(const double* v, std::size_t n) {
   double acc[kFoldLanes] = {0.0, 0.0, 0.0, 0.0};
   std::size_t i = 0;
@@ -107,122 +92,38 @@ double pinned_fold(const double* v, std::size_t n) {
   return r;
 }
 
-TEST(SimdDispatch, AvailablePathsContainScalarAndDetected) {
-  const auto paths = available_paths();
-  ASSERT_FALSE(paths.empty());
-  EXPECT_EQ(paths.front(), IsaPath::kScalar);
-  bool has_detected = false;
-  for (IsaPath p : paths) {
-    if (p == detected_path()) has_detected = true;
-  }
-  EXPECT_TRUE(has_detected);
-}
-
-TEST(SimdDispatch, ForcePathRoundTrips) {
-  const IsaPath original = active_path();
-  for (IsaPath p : available_paths()) {
-    EXPECT_TRUE(force_path(p));
-    EXPECT_EQ(active_path(), p);
-  }
-  EXPECT_TRUE(force_path(original));
-  EXPECT_EQ(active_path(), original);
-}
-
-TEST(SimdDispatch, ForcingUnavailablePathFailsAndKeepsActive) {
-  const auto paths = available_paths();
-  const IsaPath original = active_path();
-  for (IsaPath p :
-       {IsaPath::kScalar, IsaPath::kSse4, IsaPath::kAvx2, IsaPath::kNeon}) {
-    bool available = false;
-    for (IsaPath q : paths) available = available || q == p;
-    if (available) continue;
-    EXPECT_FALSE(force_path(p));
-    EXPECT_EQ(active_path(), original);
-  }
-}
-
-TEST(SimdDispatch, PathNamesMatchEnvSpellings) {
-  EXPECT_STREQ(path_name(IsaPath::kScalar), "scalar");
-  EXPECT_STREQ(path_name(IsaPath::kSse4), "sse4");
-  EXPECT_STREQ(path_name(IsaPath::kAvx2), "avx2");
-  EXPECT_STREQ(path_name(IsaPath::kNeon), "neon");
-}
-
-TEST(SimdKernels, AddU64AllPathsAllLengthsAllOffsets) {
-  Rng rng(0xadd1);
-  for (std::size_t n : lengths()) {
-    for (std::size_t off = 0; off < kMaxOffset; ++off) {
-      const auto src = random_u64(rng, n + off, false);
-      const auto dst0 = random_u64(rng, n + off, false);
-      std::vector<std::uint64_t> want(dst0);
-      for (std::size_t i = 0; i < n; ++i) want[off + i] += src[off + i];
-      for (IsaPath p : available_paths()) {
-        ScopedPath sp(p);
-        ASSERT_TRUE(sp.ok());
-        std::vector<std::uint64_t> dst(dst0);
-        add_u64(dst.data() + off, src.data() + off, n);
-        EXPECT_EQ(dst, want) << path_name(p) << " n=" << n << " off=" << off;
-      }
-    }
-  }
+TEST(SimdPath, ActivePathIsTheCompilersLoops) {
+  // `msampctl version` prints this as simd-active.
+  EXPECT_EQ(active_path(), IsaPath::kAuto);
+  EXPECT_STREQ(path_name(active_path()), "auto");
 }
 
 TEST(SimdKernels, SaturatingAddU64SaturationEdges) {
-  Rng rng(0x5a7u);
-  // Directed edge cases first: exact boundary, one past, both maximal.
+  // The saturating u64 add of tally_rows_u64's counter words, at its
+  // edges across two rows: exact boundary, one past, both maximal, and
+  // zero; the bitmap words OR.
   const std::uint64_t kMax = ~std::uint64_t{0};
-  const std::vector<std::uint64_t> a = {kMax, kMax - 1, kMax - 1, 1, 0, kMax};
-  const std::vector<std::uint64_t> b = {kMax, 1, 2, kMax - 1, 0, 0};
-  const std::vector<std::uint64_t> want = {kMax, kMax, kMax, kMax, 0, kMax};
-  for (IsaPath p : available_paths()) {
-    ScopedPath sp(p);
-    ASSERT_TRUE(sp.ok());
-    std::vector<std::uint64_t> dst(a);
-    saturating_add_u64(dst.data(), b.data(), dst.size());
-    EXPECT_EQ(dst, want) << path_name(p);
-  }
-  // Randomized sweep biased toward near-saturation values.
-  for (std::size_t n : lengths()) {
-    for (std::size_t off = 0; off < kMaxOffset; ++off) {
-      const auto src = random_u64(rng, n + off, true);
-      const auto dst0 = random_u64(rng, n + off, true);
-      std::vector<std::uint64_t> ref(dst0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t s = ref[off + i] + src[off + i];
-        ref[off + i] = s < dst0[off + i] ? kMax : s;
-      }
-      for (IsaPath p : available_paths()) {
-        ScopedPath sp(p);
-        ASSERT_TRUE(sp.ok());
-        std::vector<std::uint64_t> dst(dst0);
-        saturating_add_u64(dst.data() + off, src.data() + off, n);
-        EXPECT_EQ(dst, ref) << path_name(p) << " n=" << n << " off=" << off;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, OrU64AllPaths) {
-  Rng rng(0x0eu);
-  for (std::size_t n : lengths()) {
-    const auto src = random_u64(rng, n, false);
-    const auto dst0 = random_u64(rng, n, false);
-    std::vector<std::uint64_t> want(dst0);
-    for (std::size_t i = 0; i < n; ++i) want[i] |= src[i];
-    for (IsaPath p : available_paths()) {
-      ScopedPath sp(p);
-      ASSERT_TRUE(sp.ok());
-      std::vector<std::uint64_t> dst(dst0);
-      or_u64(dst.data(), src.data(), n);
-      EXPECT_EQ(dst, want) << path_name(p) << " n=" << n;
-    }
-  }
+  const std::vector<std::uint64_t> a = {kMax, kMax - 1, kMax - 1, 1, 0,
+                                        0xf0, 0,  //
+                                        kMax, 7, 0, kMax, 3, 0, 0x1};
+  const std::vector<std::uint64_t> b = {kMax, 1, 2, kMax - 1, 0,
+                                        0x0f, 0,  //
+                                        0, kMax - 7, 0, 1, kMax - 2, kMax,
+                                        0x1};
+  const std::vector<std::uint64_t> want = {kMax, kMax, kMax, kMax, 0,
+                                           0xff, 0,  //
+                                           kMax, kMax, 0, kMax, kMax, kMax,
+                                           0x1};
+  std::vector<std::uint64_t> dst(a);
+  tally_rows_u64(dst.data(), b.data(), dst.size());
+  EXPECT_EQ(dst, want);
 }
 
 TEST(SimdKernels, TallyRowsMatchesNaivePerWordFold) {
   Rng rng(0x7a11u);
   const std::uint64_t kMax = ~std::uint64_t{0};
-  // Row counts around the 4-row AVX2 phase cycle (28 words = lcm(4,7)*1).
+  // Row counts around a 4-row (28-word) cycle, which any u64 vector width
+  // divides.
   for (std::size_t rows : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 10u, 16u}) {
     const std::size_t n_words = rows * kRowWords;
     for (std::size_t off = 0; off < kMaxOffset; ++off) {
@@ -237,14 +138,9 @@ TEST(SimdKernels, TallyRowsMatchesNaivePerWordFold) {
           want[off + i] |= src[off + i];
         }
       }
-      for (IsaPath p : available_paths()) {
-        ScopedPath sp(p);
-        ASSERT_TRUE(sp.ok());
-        std::vector<std::uint64_t> dst(dst0);
-        tally_rows_u64(dst.data() + off, src.data() + off, n_words);
-        EXPECT_EQ(dst, want)
-            << path_name(p) << " rows=" << rows << " off=" << off;
-      }
+      std::vector<std::uint64_t> dst(dst0);
+      tally_rows_u64(dst.data() + off, src.data() + off, n_words);
+      EXPECT_EQ(dst, want) << "rows=" << rows << " off=" << off;
     }
   }
 }
@@ -258,13 +154,8 @@ TEST(SimdKernels, SumI64WrapsWithoutUB) {
       for (std::size_t i = 0; i < n; ++i) {
         acc += static_cast<std::uint64_t>(v[off + i]);
       }
-      const auto want = static_cast<std::int64_t>(acc);
-      for (IsaPath p : available_paths()) {
-        ScopedPath sp(p);
-        ASSERT_TRUE(sp.ok());
-        EXPECT_EQ(sum_i64(v.data() + off, n), want)
-            << path_name(p) << " n=" << n << " off=" << off;
-      }
+      EXPECT_EQ(sum_i64(v.data() + off, n), static_cast<std::int64_t>(acc))
+          << "n=" << n << " off=" << off;
     }
   }
 }
@@ -284,14 +175,10 @@ TEST(SimdKernels, ThresholdMaskStrictCompareAndZeroTail) {
       for (std::size_t i = 0; i < n; ++i) {
         if (v[i] > t) want[i / 64] |= std::uint64_t{1} << (i % 64);
       }
-      for (IsaPath p : available_paths()) {
-        ScopedPath sp(p);
-        ASSERT_TRUE(sp.ok());
-        // Pre-poison the output: the kernel must clear tail bits itself.
-        std::vector<std::uint64_t> got(words, ~std::uint64_t{0});
-        threshold_mask_i64(v.data(), n, t, got.data());
-        EXPECT_EQ(got, want) << path_name(p) << " n=" << n << " t=" << t;
-      }
+      // Pre-poison the output: the kernel must clear tail bits itself.
+      std::vector<std::uint64_t> got(words, ~std::uint64_t{0});
+      threshold_mask_i64(v.data(), n, t, got.data());
+      EXPECT_EQ(got, want) << "n=" << n << " t=" << t;
     }
   }
 }
@@ -340,14 +227,9 @@ TEST(SimdKernels, GatherStrideAllPaths) {
       const auto base = random_i64(rng, n * stride + 1);
       std::vector<std::int64_t> want(n);
       for (std::size_t i = 0; i < n; ++i) want[i] = base[i * stride];
-      for (IsaPath p : available_paths()) {
-        ScopedPath sp(p);
-        ASSERT_TRUE(sp.ok());
-        std::vector<std::int64_t> got(n, -1);
-        gather_stride_i64(base.data(), stride, n, got.data());
-        EXPECT_EQ(got, want) << path_name(p) << " stride=" << stride
-                             << " n=" << n;
-      }
+      std::vector<std::int64_t> got(n, -1);
+      gather_stride_i64(base.data(), stride, n, got.data());
+      EXPECT_EQ(got, want) << "stride=" << stride << " n=" << n;
     }
   }
 }
@@ -371,15 +253,10 @@ TEST(SimdKernels, DtAdmitMatchesScalarFormula) {
         room += drain;
         want[i] = demand[i] < room ? demand[i] : room;
       }
-      for (IsaPath p : available_paths()) {
-        ScopedPath sp(p);
-        ASSERT_TRUE(sp.ok());
-        std::vector<std::int64_t> got(n, -1);
-        dt_admit_i64(demand.data(), limit.data(), qlen.data(), drain,
-                     got.data(), n);
-        EXPECT_EQ(got, want) << path_name(p) << " n=" << n
-                             << " drain=" << drain;
-      }
+      std::vector<std::int64_t> got(n, -1);
+      dt_admit_i64(demand.data(), limit.data(), qlen.data(), drain,
+                   got.data(), n);
+      EXPECT_EQ(got, want) << "n=" << n << " drain=" << drain;
     }
   }
 }
@@ -391,13 +268,8 @@ TEST(SimdFold, SumF64BitIdenticalToPinnedDagOnAllPaths) {
       std::vector<double> v(n + off);
       for (auto& x : v) x = rng.normal(0.0, 1e6);
       const double want = pinned_fold(v.data() + off, n);
-      for (IsaPath p : available_paths()) {
-        ScopedPath sp(p);
-        ASSERT_TRUE(sp.ok());
-        const double got = sum_f64(v.data() + off, n);
-        EXPECT_EQ(bits_of(got), bits_of(want))
-            << path_name(p) << " n=" << n << " off=" << off;
-      }
+      const double got = sum_f64(v.data() + off, n);
+      EXPECT_EQ(bits_of(got), bits_of(want)) << "n=" << n << " off=" << off;
     }
   }
 }
@@ -405,7 +277,7 @@ TEST(SimdFold, SumF64BitIdenticalToPinnedDagOnAllPaths) {
 TEST(SimdFold, SumF64SpecialValues) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  // Deterministic specials: bitwise identity across paths.
+  // Deterministic specials: bitwise identity with the pinned DAG.
   const std::vector<std::vector<double>> cases = {
       {},                                  // empty -> +0.0
       {-0.0, -0.0, -0.0, -0.0},            // full group of -0.0
@@ -417,44 +289,25 @@ TEST(SimdFold, SumF64SpecialValues) {
   };
   for (const auto& v : cases) {
     const double want = pinned_fold(v.data(), v.size());
-    for (IsaPath p : available_paths()) {
-      ScopedPath sp(p);
-      ASSERT_TRUE(sp.ok());
-      const double got = sum_f64(v.data(), v.size());
-      EXPECT_EQ(bits_of(got), bits_of(want))
-          << path_name(p) << " n=" << v.size();
-    }
+    const double got = sum_f64(v.data(), v.size());
+    EXPECT_EQ(bits_of(got), bits_of(want)) << "n=" << v.size();
   }
-  // NaN in: NaN out on every path (payload propagation is ISA business, so
+  // NaN in: NaN out (payload propagation is the hardware's business, so
   // only the predicate is pinned, not the payload).
   const std::vector<double> with_nan = {1.0, nan, 2.0, 3.0, 4.0};
-  for (IsaPath p : available_paths()) {
-    ScopedPath sp(p);
-    ASSERT_TRUE(sp.ok());
-    EXPECT_TRUE(std::isnan(sum_f64(with_nan.data(), with_nan.size())))
-        << path_name(p);
-  }
+  EXPECT_TRUE(std::isnan(sum_f64(with_nan.data(), with_nan.size())));
   // inf + -inf inside one lane chain -> NaN, deterministically.
   const std::vector<double> cancel_inf = {inf, 0.0, 0.0, 0.0, -inf};
-  for (IsaPath p : available_paths()) {
-    ScopedPath sp(p);
-    ASSERT_TRUE(sp.ok());
-    EXPECT_TRUE(std::isnan(sum_f64(cancel_inf.data(), cancel_inf.size())))
-        << path_name(p);
-  }
+  EXPECT_TRUE(std::isnan(sum_f64(cancel_inf.data(), cancel_inf.size())));
 }
 
 TEST(SimdFold, CanonicalSumRoutesThroughPinnedFold) {
   Rng rng(0xca40u);
   std::vector<double> v(257);
   for (auto& x : v) x = rng.lognormal(8.0, 2.0);
-  for (IsaPath p : available_paths()) {
-    ScopedPath sp(p);
-    ASSERT_TRUE(sp.ok());
-    const double via_stats = util::canonical_sum(v.data(), v.size());
-    const double via_simd = sum_f64(v.data(), v.size());
-    EXPECT_EQ(bits_of(via_stats), bits_of(via_simd)) << path_name(p);
-  }
+  const double via_stats = util::canonical_sum(v.data(), v.size());
+  const double via_simd = sum_f64(v.data(), v.size());
+  EXPECT_EQ(bits_of(via_stats), bits_of(via_simd));
 }
 
 }  // namespace

@@ -54,6 +54,50 @@ expect_usage_error(worker --racks 0 --shard 0/1 --out w.bin)
 expect_usage_error(cluster --hours 300 --out c.bin)
 expect_usage_error(sweep --samples 0 --policies dt)
 
+# Buffer-policy parameters scale a queue's admission limit: NaN, infinity,
+# zero and negatives fail closed, as flags and as sweep list entries.  The
+# day is tiny so a regression that runs it anyway still finishes fast.
+set(tiny --racks 1 --hours 1 --samples 10)
+expect_usage_error(fleet ${tiny} --alpha nan --out p.bin)
+expect_usage_error(fleet ${tiny} --alpha -1 --out p.bin)
+expect_usage_error(fleet ${tiny} --alpha inf --out p.bin)
+expect_usage_error(fleet ${tiny} --policy burst-absorb --boost 0 --out p.bin)
+expect_usage_error(fleet ${tiny} --policy delay --target-delay -5 --out p.bin)
+expect_usage_error(worker ${tiny} --alpha 0 --shard 0/1 --out p.bin)
+expect_usage_error(cluster ${tiny} --target-delay nan --out p.bin)
+expect_usage_error(sweep ${tiny} --alphas -1,nan --out-dir sw)
+expect_usage_error(sweep ${tiny} --policies burst-absorb --boosts 4,0
+                   --out-dir sw)
+expect_usage_error(sweep ${tiny} --policies delay --target-delays inf
+                   --out-dir sw)
+
+# Cluster knobs fail closed before any worker is forked.
+expect_usage_error(cluster ${tiny} --stall-ms 0 --out p.bin)
+expect_usage_error(cluster ${tiny} --workers 0 --out p.bin)
+expect_usage_error(cluster ${tiny} --chunk-bytes 0 --out p.bin)
+expect_usage_error(cluster ${tiny} --fault-rate 2 --out p.bin)
+expect_usage_error(cluster ${tiny} --fault-rate nan --out p.bin)
+expect_usage_error(worker ${tiny} --chunk-bytes 0 --shard 0/1 --out p.bin)
+expect_usage_error(worker ${tiny} --fault-rate -0.5 --shard 0/1 --out p.bin)
+expect_usage_error(sweep ${tiny} --policies dt --alphas 1 --workers 1
+                   --stall-ms 0 --out-dir sw)
+expect_usage_error(sweep ${tiny} --policies dt --alphas 1 --workers 1
+                   --fault-rate 1.5 --out-dir sw)
+expect_usage_error(sweep ${tiny} --policies dt --alphas 1 --workers -1
+                   --out-dir sw)
+
+# simulate-rack checks every flag before it builds the rack: the oversized
+# --servers must be refused, not allocated.
+expect_usage_error(simulate-rack --servers 0 --samples 10 --out t.csv)
+expect_usage_error(simulate-rack --servers 100000000000 --samples 10)
+expect_usage_error(simulate-rack --servers 4096 --samples 65535)
+expect_usage_error(simulate-rack --servers 8 --samples 0)
+expect_usage_error(simulate-rack --servers 8 --samples 10 --hour 24)
+expect_usage_error(simulate-rack --servers 8 --samples 10 --hour -1)
+expect_usage_error(simulate-rack --servers 8 --samples 10 --intensity -1)
+expect_usage_error(simulate-rack --servers 8 --samples 10 --intensity nan)
+expect_usage_error(simulate-rack --servers 8 --samples 10 --task bogus)
+
 # The happy path still works end to end.
 expect_ok(simulate-rack --servers 8 --samples 60 --out t.csv)
 expect_ok(analyze --trace t.csv)

@@ -52,9 +52,10 @@ const std::set<std::string, std::less<>> kFloatTypes = {"float", "double"};
 // bytes flow through util::Table so the determinism checks see them all.
 const std::set<std::string, std::less<>> kRawWriteCalls = {
     "printf", "fprintf", "fputs", "fputc", "fwrite", "fopen", "puts"};
-// Vendor intrinsic headers (x86 *mmintrin family + Arm NEON/SVE): outside
-// src/util/simd/ these mean a vector loop with no scalar twin, no forced-
-// path test, and no byte-identity check — see docs/SIMD.md.
+// Vendor intrinsic headers (x86 *mmintrin family + Arm NEON/SVE): banned
+// everywhere.  The util::simd kernels are portable loops built with the
+// project's flags, so a hand-vectorized loop would be a second
+// implementation with nothing to prove it byte-identical to the first.
 const std::set<std::string, std::less<>> kIntrinsicHeaders = {
     "immintrin.h", "x86intrin.h", "xmmintrin.h", "emmintrin.h",
     "pmmintrin.h", "tmmintrin.h", "smmintrin.h", "nmmintrin.h",
@@ -130,13 +131,12 @@ void check_nondeterminism(const Tokens& toks, std::string_view path,
       flag(out, path, t.line, "nondet-getenv",
            "call to '" + t.text +
                "' outside the documented MSAMP_* readers "
-               "(util/thread_pool.cc, util/simd/dispatch.cc, "
-               "bench/common.cc)");
+               "(util/thread_pool.cc, bench/common.cc)");
     }
   }
 }
 
-// Raw intrinsics outside src/util/simd/. Two scans: the lexer strips
+// Raw intrinsics anywhere in the tree. Two scans: the lexer strips
 // preprocessor lines from the token stream, so banned `#include <...>`
 // directives are found by a raw line scan (the `#` must be the first
 // non-blank character, exactly like index.cc's include scan, so an
@@ -166,8 +166,8 @@ void check_intrinsics(std::string_view src, const Tokens& toks,
           if (kIntrinsicHeaders.count(header)) {
             flag(out, path, line, "intrinsics-only-in-simd",
                  "#include <" + std::string(header) +
-                     "> outside src/util/simd/ — go through the "
-                     "util::simd dispatch layer (docs/SIMD.md)");
+                     "> — write a portable loop in util::simd "
+                     "(src/util/simd/kernels.cc) instead");
           }
         }
       }
@@ -179,8 +179,8 @@ void check_intrinsics(std::string_view src, const Tokens& toks,
     if (t.kind == TokKind::kIdentifier && is_intrinsic_ident(t.text)) {
       flag(out, path, t.line, "intrinsics-only-in-simd",
            "raw intrinsic '" + t.text +
-               "' outside src/util/simd/ — go through the util::simd "
-               "dispatch layer (docs/SIMD.md)");
+               "' — write a portable loop in util::simd "
+               "(src/util/simd/kernels.cc) instead");
     }
   }
 }
@@ -498,10 +498,9 @@ FileRole classify_path(std::string_view path) {
   // sim/time.h defines simulated time.
   role.nondet_exempt =
       is("src/sim/time.h") || is("src/util/rng.h") || is("src/util/rng.cc");
-  // The documented MSAMP_* environment readers (MSAMP_THREADS,
-  // MSAMP_DATASET, and MSAMP_SIMD) plus the tests that exercise them.
+  // The documented MSAMP_* environment readers (MSAMP_THREADS and
+  // MSAMP_DATASET) plus the tests that exercise them.
   role.getenv_allowed = is("src/util/thread_pool.cc") ||
-                        is("src/util/simd/dispatch.cc") ||
                         is("bench/common.cc") ||
                         is("tests/test_thread_pool.cc") ||
                         is("tests/test_fleet_parallel.cc") ||
@@ -530,16 +529,13 @@ FileRole classify_path(std::string_view path) {
                      is("src/fleet/merge.cc");
   // Counter reads are banned exactly where output bytes are produced —
   // except the one bench whose whole point is printing the counters (its
-  // CSV is deliberately absent from check_bench_determinism.sh).
+  // CSV is deliberately absent from check_determinism.sh).
   role.counters_banned =
       role.output_path && !is("bench/bench_pool_contention.cc");
   // Every bench binary routes its tables and CSVs through util::Table;
   // common.cc is shared infrastructure (its stderr diagnostics are not
   // table bytes) and the contention bench prints through Table already.
   role.table_output = under("bench/bench_");
-  // The one home for raw intrinsics: the dispatch layer's per-ISA kernel
-  // translation units.
-  role.intrinsics_allowed = under("src/util/simd/");
   return role;
 }
 
@@ -575,9 +571,7 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view src,
   if (derived.counters_banned) {
     check_counter_reads(lexed.tokens, path, findings);
   }
-  if (!derived.intrinsics_allowed) {
-    check_intrinsics(src, lexed.tokens, path, findings);
-  }
+  check_intrinsics(src, lexed.tokens, path, findings);
   std::erase_if(findings, [&](const Finding& f) {
     return comment_suppresses(lexed, f.line, f.rule);
   });

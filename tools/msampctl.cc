@@ -4,7 +4,11 @@
 //                          [--samples N] [--hour H] [--seed S]
 //                          [--out trace.csv]
 //       Simulate one rack observation window and export the
-//       SyncMillisampler trace (msamp-sync-trace CSV).
+//       SyncMillisampler trace (msamp-sync-trace CSV).  --servers must be
+//       in [1, 4096], --samples in [1, 65535] with servers x samples at
+//       most 2^24, --hour in [0, 23], --intensity finite and >= 0, and
+//       --task one of the workload task kinds; anything else exits 2
+//       before the rack is built.
 //
 //   msampctl analyze --trace trace.csv
 //       Run burst/contention/loss analysis on a trace file.
@@ -17,7 +21,9 @@
 //       `worker`, and `sweep` — select the MMU discipline (see
 //       docs/POLICIES.md): --policy dt|static|complete|burst-absorb|delay,
 //       --alpha A (DT alpha), --boost B (burst-absorb alpha multiplier),
-//       --target-delay D (delay-driven target, ms).
+//       --target-delay D (delay-driven target, ms).  A policy parameter
+//       that is NaN, infinite, or <= 0 exits 2 (so does such an entry in
+//       `sweep`'s --alphas/--boosts/--target-delays).
 //       An explicit --threads N wins; --threads 0 (the default)
 //       defers to the MSAMP_THREADS environment variable, else uses every
 //       hardware core.  --shard I/N generates only shard I of an N-way
@@ -46,6 +52,10 @@
 //       to `msampctl fleet` at the same seed and scale, even under
 //       injected worker kills (--fault-rate, test-only).  docs/CLUSTER.md
 //       has the architecture and the worker heartbeat protocol.
+//       --workers and --stall-ms must be >= 1, --chunk-bytes >= 1 and
+//       --fault-rate in [0, 1] (here, in `worker` and in `sweep`, whose
+//       --workers may also be 0); anything else exits 2 before any
+//       worker is forked.
 //
 //   msampctl worker --shard I/N --out shard.bin [fleet flags]
 //                   [--attempt A] [--fault-rate p] [--chunk-bytes C]
@@ -86,14 +96,13 @@
 //   msampctl version
 //       Print the build's identity: dataset wire-format version, model
 //       (generator behavior) version, compiler and build flags, and the
-//       SIMD dispatch state — compiled+supported paths, the detected
-//       best path, the active path, and whether an MSAMP_SIMD override
-//       was honored.  The first thing a bug report needs; the output is
-//       one `field value` table, so scripts can awk out single fields
-//       (scripts/check_simd_determinism.sh and bench_fleet_scaling.sh do).
+//       util::simd kernel path (`simd-active`, always `auto`).  The
+//       first thing a bug report needs; the output is one `field value`
+//       table, so scripts can awk out single fields.
 //
 // Every command is deterministic for a given --seed.
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -140,33 +149,66 @@ void usage();
   std::exit(2);
 }
 
+/// Integer flag `--name`, or `fallback` when absent; a value outside
+/// [lo, hi] is a UsageError.
+int bounded(const Flags& flags, const std::string& name, long fallback,
+            long lo, long hi) {
+  const long v = flags.num(name, fallback);
+  if (v < lo || v > hi) {
+    throw util::UsageError("--" + name + " " + std::to_string(v) +
+                           " is outside [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + "]");
+  }
+  return static_cast<int>(v);
+}
+
 workload::TaskKind parse_task(const std::string& name) {
+  std::string options;
   for (int k = 0; k < workload::kNumTaskKinds; ++k) {
     const auto kind = static_cast<workload::TaskKind>(k);
     if (workload::task_name(kind) == name) return kind;
+    options += options.empty() ? "" : "|";
+    options += workload::task_name(kind);
   }
-  std::cerr << "unknown task '" << name << "', using cache; options:";
-  for (int k = 0; k < workload::kNumTaskKinds; ++k) {
-    std::cerr << " "
-              << workload::task_name(static_cast<workload::TaskKind>(k));
-  }
-  std::cerr << "\n";
-  return workload::TaskKind::kCache;
+  throw util::UsageError("unknown --task '" + name + "' (" + options + ")");
 }
 
+/// simulate-rack's bounds.  A server's index fills bits 20..31 of its
+/// flow ids (FluidRack), so a rack holds at most 4096 servers; samples
+/// share `fleet`'s uint16 bound; and the trace (48 bytes per server and
+/// sample) is capped at 2^24 server-samples, about 800 MB.
+constexpr long kMaxRackServers = 4096;
+constexpr long kMaxServerSamples = 1L << 24;
+
 int cmd_simulate_rack(const Flags& flags) {
+  // Every flag is checked before anything is allocated.
+  const int servers = bounded(flags, "servers", 92, 1, kMaxRackServers);
+  const int samples = bounded(flags, "samples", 1000, 1,
+                              std::numeric_limits<std::uint16_t>::max());
+  if (static_cast<long>(servers) * samples > kMaxServerSamples) {
+    throw util::UsageError(
+        "--servers " + std::to_string(servers) + " x --samples " +
+        std::to_string(samples) + " exceeds " +
+        std::to_string(kMaxServerSamples) + " server-samples");
+  }
+  const int hour = bounded(flags, "hour", 6, 0, 23);
+  const double intensity = flags.real("intensity", 1.5);
+  if (!(std::isfinite(intensity) && intensity >= 0.0)) {
+    throw util::UsageError("--intensity " + flags.str("intensity", "") +
+                           " is not a finite number >= 0");
+  }
+  const auto kind = parse_task(flags.str("task", "cache"));
+
   workload::RackMeta rack;
   rack.rack_id = 1;
   rack.region = workload::RegionId::kRegA;
-  rack.intensity = flags.real("intensity", 1.5);
-  const int servers = static_cast<int>(flags.num("servers", 92));
-  const auto kind = parse_task(flags.str("task", "cache"));
+  rack.intensity = intensity;
   rack.server_service.assign(static_cast<std::size_t>(servers), 0);
   rack.server_kind.assign(static_cast<std::size_t>(servers), kind);
 
   fleet::FleetConfig cfg;
-  cfg.samples_per_run = static_cast<int>(flags.num("samples", 1000));
-  fleet::FluidRack fluid(rack, cfg, static_cast<int>(flags.num("hour", 6)),
+  cfg.samples_per_run = samples;
+  fleet::FluidRack fluid(rack, cfg, hour,
                          util::Rng(static_cast<std::uint64_t>(
                              flags.num("seed", 42))));
   const auto result = fluid.run();
@@ -231,6 +273,20 @@ int cmd_analyze(const Flags& flags) {
   return 0;
 }
 
+/// A buffer-policy parameter (`--alpha`, `--boost`, `--target-delay`, or
+/// one entry of `sweep`'s `--alphas`, `--boosts`, `--target-delays`),
+/// spelled `text` on the command line.  NaN, infinity, zero and negatives
+/// are UsageErrors: each scales a queue's admission limit, and such a
+/// value would disable or invert it without any error.
+double policy_param(const std::string& flag, const std::string& text,
+                    double v) {
+  if (!(std::isfinite(v) && v > 0.0)) {
+    throw util::UsageError("--" + flag + " value '" + text +
+                           "' is not a finite number > 0");
+  }
+  return v;
+}
+
 /// The CLI-expressible FleetConfig fields, parsed identically for
 /// `fleet`, `cluster`, `worker`, and `sweep` — the cluster coordinator
 /// re-execs workers with exactly these flags (cluster::Coordinator::
@@ -239,36 +295,29 @@ int cmd_analyze(const Flags& flags) {
 /// The scale flags are checked against the record fields they feed, so a
 /// bad value fails here (exit 2) instead of aborting or silently wrapping:
 /// every record stores `hour` as a uint8 and exemplars store the sample
-/// count as a uint16, and a day has at most 24 hours.
+/// count as a uint16, and a day has at most 24 hours.  The policy
+/// parameters must be finite and positive (policy_param).
 fleet::FleetConfig fleet_config_from_flags(const Flags& flags) {
-  const auto bounded = [&flags](const std::string& name, long fallback,
-                                long lo, long hi) {
-    const long v = flags.num(name, fallback);
-    if (v < lo || v > hi) {
-      throw util::UsageError("--" + name + " " + std::to_string(v) +
-                             " is outside [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "]");
-    }
-    return static_cast<int>(v);
+  const auto param = [&flags](const std::string& name, double fallback) {
+    return policy_param(name, flags.str(name, ""), flags.real(name, fallback));
   };
   fleet::FleetConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 42));
   cfg.racks_per_region =
-      bounded("racks", 32, 1, std::numeric_limits<int>::max() / 2);
-  cfg.hours = bounded("hours", 24, 1, 24);
-  cfg.samples_per_run =
-      bounded("samples", 500, 1, std::numeric_limits<std::uint16_t>::max());
+      bounded(flags, "racks", 32, 1, std::numeric_limits<int>::max() / 2);
+  cfg.hours = bounded(flags, "hours", 24, 1, 24);
+  cfg.samples_per_run = bounded(flags, "samples", 500, 1,
+                                std::numeric_limits<std::uint16_t>::max());
   cfg.threads = static_cast<int>(flags.num("threads", 0));
   const std::string policy = flags.str("policy", "dt");
   if (!net::parse_policy(policy, &cfg.buffer.policy)) {
     throw util::UsageError("unknown --policy '" + policy +
                            "' (dt|static|complete|burst-absorb|delay)");
   }
-  cfg.buffer.alpha = flags.real("alpha", cfg.buffer.alpha);
-  cfg.buffer.burst_alpha_boost =
-      flags.real("boost", cfg.buffer.burst_alpha_boost);
+  cfg.buffer.alpha = param("alpha", cfg.buffer.alpha);
+  cfg.buffer.burst_alpha_boost = param("boost", cfg.buffer.burst_alpha_boost);
   cfg.buffer.delay.target_delay_ms =
-      flags.real("target-delay", cfg.buffer.delay.target_delay_ms);
+      param("target-delay", cfg.buffer.delay.target_delay_ms);
   return cfg;
 }
 
@@ -282,9 +331,9 @@ std::vector<std::string> with_policy_flags(std::vector<std::string> flags) {
   return flags;
 }
 
-/// Parses a comma-separated list of doubles ("0.25,1,4").
-std::vector<double> parse_double_list(const std::string& text,
-                                      const std::string& flag) {
+/// Parses a comma-separated list of policy parameters ("0.25,1,4").
+std::vector<double> parse_param_list(const std::string& text,
+                                     const std::string& flag) {
   std::vector<double> values;
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -301,11 +350,33 @@ std::vector<double> parse_double_list(const std::string& text,
     if (used != tok.size() || tok.empty()) {
       throw util::UsageError("bad --" + flag + " entry '" + tok + "'");
     }
-    values.push_back(v);
+    values.push_back(policy_param(flag, tok, v));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
   return values;
+}
+
+/// `--fault-rate` (cluster, worker, sweep): a probability, so NaN or a
+/// value outside [0, 1] is a UsageError.
+double fault_rate_from_flags(const Flags& flags) {
+  const double p = flags.real("fault-rate", 0.0);
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw util::UsageError("--fault-rate " + flags.str("fault-rate", "") +
+                           " is outside [0, 1]");
+  }
+  return p;
+}
+
+/// `--chunk-bytes` (cluster, worker, sweep): the spill buffer size, >= 1.
+std::size_t chunk_bytes_from_flags(const Flags& flags) {
+  const long v = flags.num(
+      "chunk-bytes", static_cast<long>(fleet::SpillSink::kDefaultChunkBytes));
+  if (v < 1) {
+    throw util::UsageError("--chunk-bytes " + std::to_string(v) +
+                           " must be at least 1");
+  }
+  return static_cast<std::size_t>(v);
 }
 
 int cmd_fleet(const Flags& flags) {
@@ -371,25 +442,23 @@ int cmd_worker(const Flags& flags) {
                                static_cast<std::uint32_t>(shard_count)};
   cfg.out_path = flags.str("out", "shard.bin");
   cfg.attempt = static_cast<std::uint32_t>(flags.num("attempt", 0));
-  cfg.fault_rate = flags.real("fault-rate", 0.0);
-  cfg.chunk_bytes = static_cast<std::size_t>(flags.num(
-      "chunk-bytes",
-      static_cast<long>(fleet::SpillSink::kDefaultChunkBytes)));
+  cfg.fault_rate = fault_rate_from_flags(flags);
+  cfg.chunk_bytes = chunk_bytes_from_flags(flags);
   return cluster::run_worker(cfg, std::cout);
 }
 
 int cmd_cluster(const Flags& flags) {
   cluster::ClusterConfig cfg;
   cfg.fleet = fleet_config_from_flags(flags);
-  cfg.workers = static_cast<int>(flags.num("workers", 2));
+  cfg.workers =
+      bounded(flags, "workers", 2, 1, std::numeric_limits<int>::max());
   cfg.out_path = flags.str("out", "dataset.bin");
   cfg.shard_dir = flags.str("shard-dir", "");
   cfg.keep_shards = flags.num("keep-shards", 0) != 0;
-  cfg.fault_rate = flags.real("fault-rate", 0.0);
-  cfg.chunk_bytes = static_cast<std::size_t>(flags.num(
-      "chunk-bytes",
-      static_cast<long>(fleet::SpillSink::kDefaultChunkBytes)));
-  cfg.stall_timeout_ms = static_cast<int>(flags.num("stall-ms", 30000));
+  cfg.fault_rate = fault_rate_from_flags(flags);
+  cfg.chunk_bytes = chunk_bytes_from_flags(flags);
+  cfg.stall_timeout_ms =
+      bounded(flags, "stall-ms", 30000, 1, std::numeric_limits<int>::max());
   cfg.max_parallel = static_cast<int>(flags.num("max-parallel", 0));
   cfg.retry.max_attempts = static_cast<int>(flags.num("retry-max", 5));
   cfg.retry.base_delay_ms = static_cast<int>(flags.num("retry-base-ms", 200));
@@ -440,23 +509,23 @@ int cmd_sweep(const Flags& flags) {
     pos = comma + 1;
   }
   if (flags.has("alphas")) {
-    cfg.alphas = parse_double_list(flags.str("alphas", ""), "alphas");
+    cfg.alphas = parse_param_list(flags.str("alphas", ""), "alphas");
   }
   if (flags.has("boosts")) {
-    cfg.boosts = parse_double_list(flags.str("boosts", ""), "boosts");
+    cfg.boosts = parse_param_list(flags.str("boosts", ""), "boosts");
   }
   if (flags.has("target-delays")) {
     cfg.target_delays_ms =
-        parse_double_list(flags.str("target-delays", ""), "target-delays");
+        parse_param_list(flags.str("target-delays", ""), "target-delays");
   }
-  cfg.workers = static_cast<int>(flags.num("workers", 0));
+  cfg.workers =
+      bounded(flags, "workers", 0, 0, std::numeric_limits<int>::max());
   cfg.out_dir = flags.str("out-dir", "sweep-out");
   cfg.keep_datasets = flags.num("keep-datasets", 0) != 0;
-  cfg.fault_rate = flags.real("fault-rate", 0.0);
-  cfg.chunk_bytes = static_cast<std::size_t>(flags.num(
-      "chunk-bytes",
-      static_cast<long>(fleet::SpillSink::kDefaultChunkBytes)));
-  cfg.stall_timeout_ms = static_cast<int>(flags.num("stall-ms", 30000));
+  cfg.fault_rate = fault_rate_from_flags(flags);
+  cfg.chunk_bytes = chunk_bytes_from_flags(flags);
+  cfg.stall_timeout_ms =
+      bounded(flags, "stall-ms", 30000, 1, std::numeric_limits<int>::max());
   cfg.max_parallel = static_cast<int>(flags.num("max-parallel", 0));
   cfg.retry.max_attempts = static_cast<int>(flags.num("retry-max", 5));
   cfg.retry.base_delay_ms = static_cast<int>(flags.num("retry-base-ms", 200));
@@ -797,19 +866,8 @@ int cmd_version(const Flags&) {
 #else
   table.add_row({"sanitizer", "none"});
 #endif
-  std::string avail;
-  for (util::simd::IsaPath p : util::simd::available_paths()) {
-    if (!avail.empty()) avail += ' ';
-    avail += util::simd::path_name(p);
-  }
-  table.add_row({"simd-available", avail});
-  table.add_row(
-      {"simd-detected", util::simd::path_name(util::simd::detected_path())});
   table.add_row(
       {"simd-active", util::simd::path_name(util::simd::active_path())});
-  const std::string env = util::simd::env_request();
-  table.add_row({"simd-env", env.empty() ? "(unset)" : env});
-  table.add_row({"simd-env-honored", util::simd::env_honored() ? "yes" : "no"});
   table.print(std::cout);
   return 0;
 }
